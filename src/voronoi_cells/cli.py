@@ -685,7 +685,7 @@ def main(argv=None) -> int:
     except BudgetExhaustedError as exc:
         print(f"error: budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -17,13 +17,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactmath.fields import PrimeField
-from .exactmath.orders import BlockElim, GREVLEX
+from .exactmath.orders import GREVLEX
 from .exactmath.poly import PolyRing
+# eliminate goes unused here, but stays importable from this module:
+# perfbench/tracing.py wraps it by this name
 from .groebner import (
     IdealSpec,
     eliminate,
     is_zero_dimensional,
     quotient_degree,
+    saturate_eliminate,
 )
 from .voronoi import (
     SingularPointError,
@@ -233,15 +236,8 @@ def _sliced_degree_once(spec: IdealSpec, point, codim: int, seed: int,
         if c:
             lin = lin + (sring.variable(i) - sring.constant(point[i])).scale(c)
 
-    tname = "_t"
-    work = PolyRing((tname,) + sring.variables, field=field,
-                    order=BlockElim(1 + n))
-    wmap = [work.index_of(v) for v in sring.variables]
-    moved = [g.map_ring(work, wmap) for g in gens]
-    moved.append(work.one() - work.variable(tname) * lin.map_ring(work, wmap))
-    drop = [tname] + list(ring.variables)
-    parametric = eliminate(moved, drop, work, budget=budget,
-                           stage="saturation")
+    parametric = saturate_eliminate(gens, lin, ring.variables, sring,
+                                    budget=budget, stage="saturation")
     if not is_zero_dimensional(parametric):
         raise UnluckySliceError(
             f"sliced system is not zero-dimensional (k={k})")
@@ -282,7 +278,8 @@ def hypersurface_degree_experiment(n: int, d: int, *,
     Replica i generates its own hypersurface from seed + i over primes[i],
     so stability spans both the randomness and the choice of prime.  The
     homogeneous variant samples y on the cone away from the hyperplane
-    y1 = 0 and measures the degree there.
+    y1 = 0 and measures the degree there.  The report carries the
+    hypersurface and point of replica 0's successful attempt.
     """
     runs = []
     first = None
@@ -292,8 +289,6 @@ def hypersurface_degree_experiment(n: int, d: int, *,
             gen_seed = seed + i + 1000003 * attempt
             spec, y = random_hypersurface(n, d, prime, gen_seed,
                                           homogeneous=homogeneous)
-            if first is None:
-                first = (spec, y)
             try:
                 deg = _sliced_degree_once(spec, y, 1, gen_seed, budget)
             except (SingularPointError, UnluckySliceError):
@@ -301,6 +296,8 @@ def hypersurface_degree_experiment(n: int, d: int, *,
                 if attempt > max_reseeds:
                     raise
                 continue
+            if first is None:
+                first = (spec, y)
             runs.append((gen_seed, prime, deg))
             break
     spec, y = first

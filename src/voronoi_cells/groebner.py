@@ -122,7 +122,8 @@ class GroebnerBasis:
 
 
 class _Engine:
-    def __init__(self, ring: PolyRing, budget: int | None, stage: str):
+    def __init__(self, ring: PolyRing, budget: int | None, stage: str,
+                 steps: int = 0):
         self.ring = ring
         self.n = ring.nvars
         self.field = ring.field
@@ -130,7 +131,7 @@ class _Engine:
         self.p = ring.field.p if self.modp else 0
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.stage = stage
-        self.steps = 0
+        self.steps = steps  # steps already spent against the same budget
         self.guard = sum(1 << (_W * i + _W - 1) for i in range(self.n))
         self._keya: dict = {}
         self._key_fn = _packed_key_asc(ring.order, self.n)
@@ -149,7 +150,9 @@ class _Engine:
         e = 0
         for i, v in enumerate(mon):
             if v >= _EXP_LIMIT:
-                raise OverflowError("exponent too large for packed monomials")
+                raise OverflowError(
+                    f"exponent {v} too large for packed monomials "
+                    f"(at most {_EXP_LIMIT - 1})")
             e |= v << (_W * i)
         return e
 
@@ -399,7 +402,11 @@ def groebner_basis(gens: Iterable[Polynomial], ring: PolyRing | None = None, *,
     """Reduced Groebner basis for the ring's own monomial order."""
     gens = [g for g in gens]
     ring = _resolve_ring(gens, ring)
-    eng = _Engine(ring, budget, stage)
+    return _buchberger(_Engine(ring, budget, stage), gens)
+
+
+def _buchberger(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
+    """Reduced basis of the generators for the order of the engine's ring."""
     seen = set()
     start = []
     for g in gens:
@@ -411,7 +418,7 @@ def groebner_basis(gens: Iterable[Polynomial], ring: PolyRing | None = None, *,
             seen.add(key)
             start.append(d)
     if not start:
-        return GroebnerBasis(ring, ())
+        return GroebnerBasis(eng.ring, ())
 
     pairs: list = []
     for d in start:
@@ -533,27 +540,36 @@ def eliminate(gens: Iterable[Polynomial], drop: Sequence[str], ring: PolyRing | 
     """
     gens = list(gens)
     ring = _resolve_ring(gens, ring)
+    head, tail = _split_variables(ring, drop)
+    work = PolyRing(head + tail, field=ring.field, order=BlockElim(len(head)))
+    var_map = [work.index_of(v) for v in ring.variables]
+    moved = [g.map_ring(work, var_map) for g in gens]
+    return _block_eliminate(_Engine(work, budget, stage), moved)
+
+
+def _split_variables(ring: PolyRing, drop: Sequence[str]) -> tuple[list, list]:
+    """The dropped and the kept variables, each in the ring's order."""
     drop_set = set(drop)
     unknown = drop_set - set(ring.variables)
     if unknown:
         raise ValueError(f"cannot eliminate unknown variables {sorted(unknown)}")
     head = [v for v in ring.variables if v in drop_set]
     tail = [v for v in ring.variables if v not in drop_set]
-    work = PolyRing(head + tail, field=ring.field, order=BlockElim(len(head)))
-    var_map = [work.index_of(v) for v in ring.variables]
-    moved = [g.map_ring(work, var_map) for g in gens]
-    gb = groebner_basis(moved, work, budget=budget, stage=stage)
+    return head, tail
 
-    sub = PolyRing(tail, field=ring.field, order=GREVLEX)
-    k = len(head)
-    out = []
-    for p in gb.polys:
-        lead = p.leading_monomial()
-        if any(lead[:k]):
-            continue
-        # block order: a head-free leading term forces a head-free polynomial
-        sub_map = [-1] * k + list(range(len(tail)))
-        out.append(p.map_ring(sub, sub_map))
+
+def _block_eliminate(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
+    """The members of a block-order basis free of the first block, in a
+    grevlex ring on the remaining variables."""
+    work = eng.ring
+    k = work.order.k
+    gb = _buchberger(eng, gens)
+    tail = work.variables[k:]
+    sub = PolyRing(tail, field=work.field, order=GREVLEX)
+    # block order: a head-free leading term forces a head-free polynomial
+    sub_map = [-1] * k + list(range(len(tail)))
+    out = [p.map_ring(sub, sub_map) for p in gb.polys
+           if not any(p.leading_monomial()[:k])]
     out.sort(key=lambda p: sub.key_desc(p.leading_monomial()))
     return GroebnerBasis(sub, tuple(out))
 
@@ -570,8 +586,8 @@ def saturate(gens: Iterable[Polynomial], sat: Iterable[Polynomial],
              stage: str = "saturation") -> GroebnerBasis:
     """Saturation (I : J^infinity), J given by generators.
 
-    Computed per generator g with a fresh inverse variable (the ideal
-    I + <1 - t*g> with t eliminated) and intersected across generators.
+    Computed per generator with saturate_eliminate and intersected across
+    generators.
     """
     gens = list(gens)
     sat = [s for s in sat if not s.is_zero()]
@@ -580,7 +596,8 @@ def saturate(gens: Iterable[Polynomial], sat: Iterable[Polynomial],
         return groebner_basis(gens, ring, budget=budget, stage=stage)
     partial: GroebnerBasis | None = None
     for g in sat:
-        one = _saturate_single(gens, g, ring, budget, stage)
+        one = _realign(saturate_eliminate(gens, g, (), ring, budget=budget,
+                                          stage=stage), ring, budget, stage)
         if partial is None:
             partial = one
         else:
@@ -589,15 +606,99 @@ def saturate(gens: Iterable[Polynomial], sat: Iterable[Polynomial],
     return partial
 
 
-def _saturate_single(gens, g, ring, budget, stage) -> GroebnerBasis:
+def saturate_eliminate(gens: Iterable[Polynomial], g: Polynomial,
+                       drop: Sequence[str], ring: PolyRing | None = None, *,
+                       budget: int | None = None,
+                       stage: str = "saturation") -> GroebnerBasis:
+    """Basis of (<gens> : g^infinity) intersected with the ring of the kept
+    variables, in a grevlex ring on those variables.
+
+    The saturation adds 1 - t*g for a fresh variable t.  When exactly one
+    variable s is kept and the grevlex basis of that system is
+    zero-dimensional, the answer is the minimal polynomial of
+    multiplication by s on the quotient, read off the first linear
+    dependence among the normal forms of 1, s, s^2, ... (the univariate
+    step of FGLM).  Otherwise t and the dropped variables are eliminated
+    with a block order.  Both routes charge one step budget.
+    """
+    gens = list(gens)
+    ring = _resolve_ring(gens + [g], ring)
+    head, tail = _split_variables(ring, drop)
     tname = _fresh_var(ring)
-    work = PolyRing((tname,) + ring.variables, field=ring.field, order=BlockElim(1))
+    names = [tname] + head + tail
+    steps = 0
+    if len(tail) == 1:
+        line = PolyRing(names, field=ring.field, order=GREVLEX)
+        eng = _Engine(line, budget, stage)
+        gb = _buchberger(eng, _with_inverse(gens, g, ring, line, tname))
+        if is_zero_dimensional(gb):
+            return _minimal_polynomial(eng, gb, tail[0])
+        steps = eng.steps
+    work = PolyRing(names, field=ring.field, order=BlockElim(1 + len(head)))
+    return _block_eliminate(_Engine(work, budget, stage, steps),
+                            _with_inverse(gens, g, ring, work, tname))
+
+
+def _with_inverse(gens, g, ring: PolyRing, work: PolyRing, tname: str) -> list:
+    """The generators moved into the work ring, plus 1 - t*g."""
     var_map = [work.index_of(v) for v in ring.variables]
     moved = [f.map_ring(work, var_map) for f in gens]
-    t = work.variable(tname)
-    moved.append(work.one() - t * g.map_ring(work, var_map))
-    gb = eliminate(moved, [tname], work, budget=budget, stage=stage)
-    # eliminate() returns the ring on the remaining variables; realign order
+    moved.append(work.one() - work.variable(tname) * g.map_ring(work, var_map))
+    return moved
+
+
+def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerBasis:
+    """Monic generator of the ideal of gb intersected with k[name].
+
+    gb must be a zero-dimensional reduced basis of the engine's ring.  The
+    normal forms NF(s^i) = NF(s * NF(s^(i-1))) are echeloned as they come;
+    the first one that reduces to zero gives the dependence.
+    """
+    field = eng.field
+    zero, one = field.zero, field.one
+    mul, sub = field.mul, field.sub
+    nf_eng = _Engine(gb.ring, eng.budget, eng.stage, eng.steps)
+    nf_eng._keya = eng._keya
+    for p in gb.polys:
+        nf_eng.add_basis_poly(nf_eng.poly_to_dict(p))
+    shift = 1 << (_W * gb.ring.index_of(name))
+
+    def axpy(y: dict, a, x: dict):
+        # y -= a * x, in place
+        for e, c in x.items():
+            v = sub(y.get(e, zero), mul(a, c))
+            if v == zero:
+                y.pop(e, None)
+            else:
+                y[e] = v
+
+    rows: list = []  # (pivot, normalized vector, its combination of powers)
+    nf = nf_eng.reduce_full({0: one})
+    power = 0
+    while True:
+        vec = dict(nf)
+        combo = {power: one}
+        for pivot, row, row_combo in rows:
+            c = vec.get(pivot)
+            if c is not None:
+                axpy(vec, c, row)
+                axpy(combo, c, row_combo)
+        if not vec:
+            break
+        pivot = min(vec, key=nf_eng.keyd)
+        inv = field.inv(vec[pivot])
+        rows.append((pivot,
+                     {e: mul(inv, c) for e, c in vec.items()},
+                     {m: mul(inv, c) for m, c in combo.items()}))
+        nf = nf_eng.reduce_full({e + shift: c for e, c in nf.items()})
+        power += 1
+    sub_ring = PolyRing((name,), field=field, order=GREVLEX)
+    return GroebnerBasis(sub_ring, (sub_ring.from_terms(
+        {(m,): c for m, c in combo.items()}),))
+
+
+def _realign(gb: GroebnerBasis, ring: PolyRing, budget, stage) -> GroebnerBasis:
+    """Move a grevlex basis on the ring's variables into the ring itself."""
     if gb.ring == ring:
         return gb
     back = [ring.index_of(v) for v in gb.ring.variables]
@@ -621,12 +722,7 @@ def intersect(gens_a: Iterable[Polynomial], gens_b: Iterable[Polynomial],
     moved = [t * f.map_ring(work, var_map) for f in gens_a]
     moved += [one_minus_t * f.map_ring(work, var_map) for f in gens_b]
     gb = eliminate(moved, [tname], work, budget=budget, stage=stage)
-    if gb.ring == ring:
-        return gb
-    back = [ring.index_of(v) for v in gb.ring.variables]
-    polys = tuple(p.map_ring(ring, back) for p in gb.polys)
-    return GroebnerBasis(ring, polys) if ring.order == GREVLEX else groebner_basis(
-        polys, ring, budget=budget, stage=stage)
+    return _realign(gb, ring, budget, stage)
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:

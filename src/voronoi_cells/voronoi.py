@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactmath.fields import QQ, RationalField
-from .exactmath.orders import GREVLEX, BlockElim
+from .exactmath.orders import GREVLEX
 from .exactmath.poly import Polynomial, PolyRing
 from .exactmath.sturm import (
     count_roots,
@@ -39,6 +39,8 @@ from .exactmath.sturm import (
     sturm_chain,
     squarefree_part,
 )
+# eliminate and groebner_basis go unused here, but stay importable from
+# this module: perfbench/tracing.py wraps them by these names
 from .groebner import (
     GroebnerBasis,
     IdealSpec,
@@ -48,6 +50,7 @@ from .groebner import (
     intersect,
     is_zero_dimensional,
     quotient_degree,
+    saturate_eliminate,
 )
 from .unifactor import Factor, factor_rational
 
@@ -433,19 +436,12 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
     timings["critical"] = time.perf_counter() - t0
 
     # saturate away x = y, one displacement generator at a time, eliminating
-    # the saturation variable and the x block in the same run
+    # the x block in the same run
     t0 = time.perf_counter()
-    tname = "_t"
-    work = PolyRing((tname,) + sring.variables, field=f, order=BlockElim(1 + n))
-    wmap = [work.index_of(v) for v in sring.variables]
-    t = work.variable(tname)
-    drop = [tname] + list(ring.variables)
-    parts = []
-    for i in range(n):
-        moved = [g.map_ring(work, wmap) for g in gens]
-        gi = xs[i] - sring.constant(y[i])
-        moved.append(work.one() - t * gi.map_ring(work, wmap))
-        parts.append(eliminate(moved, drop, work, budget=budget, stage="saturation"))
+    parts = [saturate_eliminate(gens, xs[i] - sring.constant(y[i]),
+                                ring.variables, sring, budget=budget,
+                                stage="saturation")
+             for i in range(n)]
     timings["saturation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -112,6 +112,16 @@ class TestVoronoiCommand:
         assert code == 2
         assert "budget" in err
 
+    def test_exponent_overflow_is_input_error(self, capsys):
+        ideal = json.dumps({"vars": ["x1", "x2"],
+                            "gens": ["x1^8388608 - x2"]})
+        code, out, err = run(capsys, "voronoi", ideal,
+                             "--point", '["0", "0"]')
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "exponent" in err
+
     def test_env_budget(self, capsys, cusp_file, monkeypatch):
         monkeypatch.setenv("VORONOI_BUDGET", "5")
         code, _, err = run(capsys, "voronoi", cusp_file,

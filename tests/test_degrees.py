@@ -1,6 +1,7 @@
 """Degree formulas, golden tables, and finite-field measurements."""
 import pytest
 
+from voronoi_cells import degrees
 from voronoi_cells.degrees import (
     DegreeExperiment,
     TABLE_HOMOGENEOUS,
@@ -17,7 +18,11 @@ from voronoi_cells.degrees import (
     voronoi_degree_modp,
 )
 from voronoi_cells.groebner import IdealSpec
-from voronoi_cells.voronoi import normal_space_at, voronoi_ideal
+from voronoi_cells.voronoi import (
+    SingularPointError,
+    normal_space_at,
+    voronoi_ideal,
+)
 
 
 class TestFormulas:
@@ -136,6 +141,14 @@ class TestExperiments:
             assert exp.stable
             assert len(exp.replicas) == 3
 
+    def test_table1_cells_beyond_desk_scale(self):
+        for n, d in ((2, 6), (3, 4), (4, 3)):
+            exp = hypersurface_degree_experiment(n, d, seed=0)
+            assert exp.degree == TABLE_INHOMOGENEOUS[(n, d)], (n, d)
+            assert exp.stable
+            assert {deg for _, _, deg in exp.replicas} == {exp.degree}
+            assert len(exp.replicas) == 3
+
     def test_homogeneous_cell(self):
         exp = hypersurface_degree_experiment(2, 3, homogeneous=True, seed=7)
         assert exp.degree == 4
@@ -168,6 +181,28 @@ class TestExperiments:
         exp = voronoi_degree_modp(spec, (0, 0, 0), seed=3)
         assert exp.degree == 4
         assert exp.stable
+
+    def test_reseeded_replica_reports_its_accepted_hypersurface(
+            self, monkeypatch):
+        # replica 0 fails once, so its hypersurface comes from the reseed
+        # 1000003; the report must carry that one, not the discarded draw
+        real = degrees._sliced_degree_once
+        calls = []
+
+        def flaky(spec, point, codim, seed, budget):
+            calls.append(seed)
+            if len(calls) == 1:
+                raise SingularPointError("forced reseed")
+            return real(spec, point, codim, seed, budget)
+
+        monkeypatch.setattr(degrees, "_sliced_degree_once", flaky)
+        exp = hypersurface_degree_experiment(2, 2, seed=0)
+        assert calls[:2] == [0, 1000003]
+        assert exp.replicas[0][0] == 1000003
+        spec, y = random_hypersurface(2, 2, 32003, 1000003)
+        assert exp.point == y == (16904, 21689)
+        assert exp.spec == spec
+        assert exp.degree == 2 and exp.stable
 
     def test_rejects_rational_field(self):
         spec = IdealSpec.from_strings(("x1", "x2"), ["x2 - x1^2"])
