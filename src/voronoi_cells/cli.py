@@ -618,7 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--g", type=int)
     p.add_argument("--chi", type=int)
-    p.add_argument("--g2", type=int)
+    p.add_argument("--g2", type=int,
+                   help="surface: genus of a general quadric section "
+                        "(not the sectional genus)")
     p.add_argument("--n", type=int)
     p.add_argument("--homogeneous", action="store_true")
     p.add_argument("--rows", type=int)

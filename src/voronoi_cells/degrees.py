@@ -51,7 +51,13 @@ def formula_curve(d: int, g: int) -> int:
 
 def formula_surface(d: int, chi: int, g2: int) -> int:
     """Voronoi degree of a smooth surface in general position from its
-    degree, Euler number, and sectional genus: 3d + chi + 4*g2 - 11."""
+    degree, Euler number, and g2, the genus of its intersection with a
+    general quadric: 3d + chi + 4*g2 - 11.
+
+    g2 is not the sectional genus g (the genus of a hyperplane section);
+    by adjunction g2 = d + 2g - 1.  It is (d-1)^2 for a degree-d surface
+    in P^3 and C(2e-1, 2) for the Veronese surface v_e(P^2) of degree e^2.
+    """
     if d < 1:
         raise ValueError("degree must be at least 1")
     return 3 * d + chi + 4 * g2 - 11

@@ -2,17 +2,7 @@
 from .fields import QQ, FieldError, PrimeField, RationalField, field_from_name
 from .orders import GREVLEX, LEX, BlockElim, GrevLex, Lex, MonomialOrder
 from .parse import ParseError, parse_polynomial
-from .poly import (
-    Polynomial,
-    PolyRing,
-    RingMismatchError,
-    mon_degree,
-    mon_div,
-    mon_divides,
-    mon_lcm,
-    mon_mul,
-    poly_gcd_content,
-)
+from .poly import Polynomial, PolyRing, RingMismatchError
 from .sturm import (
     count_real_roots,
     dense_from_poly,
@@ -38,12 +28,6 @@ __all__ = [
     "Polynomial",
     "PolyRing",
     "RingMismatchError",
-    "mon_degree",
-    "mon_div",
-    "mon_divides",
-    "mon_lcm",
-    "mon_mul",
-    "poly_gcd_content",
     "count_real_roots",
     "dense_from_poly",
     "isolate_real_roots",

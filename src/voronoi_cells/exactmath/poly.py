@@ -8,7 +8,6 @@ returns a fresh object.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import QQ, FieldError, PrimeField, RationalField
@@ -17,27 +16,6 @@ from .orders import GREVLEX, MonomialOrder
 
 class RingMismatchError(ValueError):
     pass
-
-
-def mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mon_div(a, b):
-    """Exact quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mon_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mon_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mon_degree(a) -> int:
-    return sum(a)
 
 
 class PolyRing:
@@ -405,24 +383,3 @@ def _field_pow(field, value, e: int):
         if e:
             base = field.mul(base, base)
     return result
-
-
-def poly_gcd_content(f: Polynomial) -> Polynomial:
-    """Scale a rational polynomial to primitive integer form (content 1, positive lead)."""
-    if not isinstance(f.ring.field, RationalField) or f.is_zero():
-        return f
-    from math import gcd
-
-    dens = [c.denominator for c in f.terms.values()]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // gcd(lcm, d)
-    nums = [int(c * lcm) for c in f.terms.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
-    scale = Fraction(lcm, g if g else 1)
-    out = f.scale(scale)
-    if out.leading_coefficient() < 0:
-        out = out.scale(-1)
-    return out

@@ -492,13 +492,13 @@ def _finalize(eng: _Engine) -> GroebnerBasis:
         d.update(dict(eng.btail[idx]))
         polys[idx] = d
     for idx in kept:
-        sub = _Engine(eng.ring, eng.budget - eng.steps, eng.stage)
+        sub = _Engine(eng.ring, eng.budget, eng.stage, eng.steps)
         sub._keya = eng._keya
         for other in kept:
             if other != idx:
                 sub.add_basis_poly(polys[other])
         reduced = sub.reduce_full(polys[idx])
-        eng.steps += sub.steps
+        eng.steps = sub.steps
         polys[idx] = sub.make_monic(reduced)
 
     final = sorted(polys.values(), key=lambda d: eng.keyd(min(d, key=eng.keyd)))

@@ -3,21 +3,19 @@
 The nearest rank-r matrix to U is its truncated singular value
 decomposition, so the Voronoi cell of a rank-r matrix V consists of the
 matrices that agree with V on V's singular frame and whose free block is
-bounded by sigma_r(V) in the spectral norm.  This module implements the
-decomposition (one-sided Jacobi, small dense matrices), Eckart-Young
-truncation, the exact cell-membership test, and the symmetric variant
-where the Frobenius geometry restricts to eigenvalue conditions.
+bounded by sigma_r(V) in the spectral norm.  This module wraps the
+decomposition (LAPACK's SVD, through NumPy) with a deterministic sign
+convention, and implements Eckart-Young truncation, the exact
+cell-membership test, and the symmetric variant where the Frobenius
+geometry restricts to eigenvalue conditions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-_SWEEP_CAP = 60
-_ROTATION_EPS = 1e-12
 
 
 @dataclass(eq=False)
@@ -60,70 +58,6 @@ def _as_matrix(data) -> np.ndarray:
     return a
 
 
-def _one_sided_jacobi(b: np.ndarray):
-    """Orthogonalize the columns of a tall matrix by plane rotations.
-
-    Returns (w, rot) with b @ rot = w and w's columns pairwise orthogonal;
-    rot accumulates the rotations and stays orthogonal.
-    """
-    w = b.copy()
-    cols = w.shape[1]
-    rot = np.eye(cols)
-    for _ in range(_SWEEP_CAP):
-        largest = 0.0
-        # pairs of columns that are both negligible against the dominant
-        # one carry no direction information; rotating them only stalls
-        # convergence
-        scale = max((float(w[:, j] @ w[:, j]) for j in range(cols)),
-                    default=0.0)
-        floor = scale * 5e-32
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                wp = w[:, p]
-                wq = w[:, q]
-                aa = float(wp @ wp)
-                bb = float(wq @ wq)
-                cross = float(wp @ wq)
-                if aa == 0.0 or bb == 0.0:
-                    continue
-                if aa <= floor and bb <= floor:
-                    continue
-                correlation = abs(cross) / math.sqrt(aa * bb)
-                if correlation <= _ROTATION_EPS:
-                    continue
-                largest = max(largest, correlation)
-                theta = 0.5 * math.atan2(2.0 * cross, aa - bb)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                new_p = c * wp + s * wq
-                w[:, q] = -s * wp + c * wq
-                w[:, p] = new_p
-                rp = rot[:, p].copy()
-                rot[:, p] = c * rp + s * rot[:, q]
-                rot[:, q] = -s * rp + c * rot[:, q]
-        if largest < _ROTATION_EPS:
-            break
-    return w, rot
-
-
-def _complete_orthonormal(columns: list, dim: int) -> list:
-    """Extend orthonormal columns to a full basis with Gram-Schmidt."""
-    basis = list(columns)
-    for i in range(dim):
-        if len(basis) == dim:
-            break
-        v = np.zeros(dim)
-        v[i] = 1.0
-        for u in basis:
-            v = v - (u @ v) * u
-        norm = float(np.hypot.reduce(v))
-        if norm > 1e-6:
-            basis.append(v / norm)
-    if len(basis) != dim:
-        raise RuntimeError("orthonormal completion failed")
-    return basis
-
-
 def _first_nonzero_sign(v: np.ndarray) -> float:
     for entry in v:
         if abs(entry) > 1e-12:
@@ -132,39 +66,15 @@ def _first_nonzero_sign(v: np.ndarray) -> float:
 
 
 def svd(matrix) -> SVDFactors:
-    """Singular value decomposition by one-sided Jacobi rotations.
+    """Full singular value decomposition (LAPACK, through NumPy).
 
     Deterministic conventions: singular values nonincreasing, first
-    nonzero entry of every left singular vector positive.
+    nonzero entry of every left singular vector positive, the matching
+    right row carrying the sign.
     """
     a = _as_matrix(matrix)
     m, n = a.shape
-    transposed = m < n
-    b = a.T if transposed else a
-    w, rot = _one_sided_jacobi(b)
-
-    norms = np.array([float(np.hypot.reduce(w[:, j]))
-                      for j in range(w.shape[1])])
-    order = sorted(range(len(norms)), key=lambda j: (-norms[j], j))
-    # directions below relative rounding noise come from the orthonormal
-    # completion rather than from the (meaningless) residual columns
-    cutoff = norms.max(initial=0.0) * 1e-14
-    left_cols = []
-    kept = []
-    for j in order:
-        kept.append(j)
-        if norms[j] > cutoff:
-            left_cols.append(w[:, j] / norms[j])
-    rows = b.shape[0]
-    full_left = np.column_stack(_complete_orthonormal(left_cols, rows))
-    values = norms[kept]
-    right = rot[:, kept].T  # b = full_left[:, :cols] @ diag(values) @ right
-
-    if transposed:
-        sigma1, sigma2 = right.T, full_left.T
-    else:
-        sigma1, sigma2 = full_left, right
-
+    sigma1, values, sigma2 = np.linalg.svd(a, full_matrices=True)
     k = min(m, n)
     for j in range(m):
         if _first_nonzero_sign(sigma1[:, j]) < 0:
@@ -174,7 +84,7 @@ def svd(matrix) -> SVDFactors:
     for i in range(k, n):
         if _first_nonzero_sign(sigma2[i, :]) < 0:
             sigma2[i, :] = -sigma2[i, :]
-    return SVDFactors(sigma1, values[:k], sigma2)
+    return SVDFactors(sigma1, values, sigma2)
 
 
 def spectral_norm(matrix) -> float:

@@ -39,63 +39,6 @@ def _evaluate_float(f: Polynomial, point) -> float:
     return total
 
 
-def hessian(f: Polynomial) -> np.ndarray:
-    """Constant matrix of second partials of a polynomial of degree <= 2."""
-    if f.total_degree() > 2:
-        raise ValueError("hessian of a non-quadric is not constant")
-    n = f.ring.nvars
-    h = np.zeros((n, n))
-    for mon, coeff in f.terms.items():
-        if sum(mon) != 2:
-            continue
-        support = [i for i, e in enumerate(mon) if e]
-        c = float(coeff)
-        if len(support) == 1:
-            h[support[0], support[0]] += 2.0 * c
-        else:
-            i, j = support
-            h[i, j] += c
-            h[j, i] += c
-    return h
-
-
-@dataclass(eq=False)
-class QuadricSystem:
-    """Quadrics cutting out a variety, with their Hessians precomputed."""
-
-    quadrics: tuple
-    hessians: tuple
-
-    @classmethod
-    def from_polynomials(cls, polys) -> "QuadricSystem":
-        polys = tuple(polys)
-        if not polys:
-            raise ValueError("need at least one quadric")
-        ring = polys[0].ring
-        if not isinstance(ring.field, RationalField):
-            raise ValueError("quadric systems are rational")
-        for f in polys:
-            if f.ring != ring:
-                raise ValueError("quadrics must share one ring")
-        return cls(polys, tuple(hessian(f) for f in polys))
-
-    @property
-    def nvars(self) -> int:
-        return self.quadrics[0].ring.nvars
-
-    def residual_at(self, y) -> float:
-        return max(abs(_evaluate_float(f, y)) for f in self.quadrics)
-
-    def jacobian_at(self, y) -> np.ndarray:
-        """Entries d f_j / d x_i evaluated at y, shape nvars x len(quadrics)."""
-        n = self.nvars
-        jac = np.zeros((n, len(self.quadrics)))
-        for j, f in enumerate(self.quadrics):
-            for i in range(n):
-                jac[i, j] = _evaluate_float(f.derivative(i), y)
-        return jac
-
-
 def _veronese_indices(n: int, d: int):
     exponents = [alpha for alpha in product(range(d + 1), repeat=n)
                  if 0 < sum(alpha) <= d]
@@ -487,35 +430,6 @@ def _check_on_variety(polys, y, tol: float):
             f"base point misses the variety by {worst:.3g}")
 
 
-def level1_membership(system, y, u, tol: float = DEFAULT_SDP_TOL,
-                      max_iterations: int = 10_000) -> MembershipResult:
-    """Certificate that u's nearest point on the quadric variety is y.
-
-    Decides whether some lam with sum lam_i A_i <= 2I satisfies
-    (1/2) Jac(y) lam = y - u; a member answer is a proof, non-member only
-    says this level's certificate does not exist.
-    """
-    if not isinstance(system, QuadricSystem):
-        system = QuadricSystem.from_polynomials(system)
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = system.nvars
-    if y.shape != (n,) or u.shape != (n,):
-        raise ValueError("points must match the ring's variable count")
-    _check_on_variety(system.quadrics, y, tol)
-    problem = LMIFeasibilityProblem(
-        lhs=system.hessians,
-        rhs=2.0 * np.eye(n),
-        eq_matrix=0.5 * system.jacobian_at(y),
-        eq_rhs=y - u,
-        tol=tol,
-        max_iterations=max_iterations,
-    )
-    res = lmi_feasible(problem)
-    return MembershipResult(_STATUS[res.status], res.witness, res.margin,
-                            res.iterations)
-
-
 def leveld_membership(polys, y, u, d: int, tol: float = DEFAULT_SDP_TOL,
                       max_iterations: int = 10_000) -> MembershipResult:
     """Membership certificate at lift level d.
@@ -524,6 +438,11 @@ def leveld_membership(polys, y, u, d: int, tol: float = DEFAULT_SDP_TOL,
     multipliers range over the lifted equations and coordinate relations,
     constrained to be stationary in the auxiliary coordinates.  Levels
     are nested: a member at level d stays a member at level d + 1.
+
+    Level 1 takes quadrics as they are (the lift has no relations): it
+    decides whether some lam with sum lam_i A_i <= 2I satisfies
+    (1/2) Jac(y) lam = y - u.  A member answer is a proof; non-member
+    only says this level's certificate does not exist.
     """
     polys = tuple(polys)
     if not polys:

@@ -39,7 +39,7 @@ from voronoi_cells.groebner import (
     saturate,
 )
 from voronoi_cells.lowrank import cell_membership, eckart_young_truncate
-from voronoi_cells.sdp import level1_membership, leveld_membership
+from voronoi_cells.sdp import leveld_membership
 from voronoi_cells.voronoi import boundary_on_normal_line, voronoi_ideal
 
 
@@ -260,13 +260,14 @@ def test_criterion_8_tangency_grid():
     polys = [parse_polynomial(t, ring) for t in TWISTED_CUBIC]
     y = (0.0, 0.0, 0.0)
 
-    assert level1_membership(polys, y, (0.0, 0.4, 0.0)).status == "member"
-    assert level1_membership(polys, y, (0.0, 0.6, 0.0)).status == "non-member"
+    assert leveld_membership(polys, y, (0.0, 0.4, 0.0), 1).status == "member"
+    assert (leveld_membership(polys, y, (0.0, 0.6, 0.0), 1).status
+            == "non-member")
 
     supremum = None
     for k in range(0, 1001):
         u2 = k / 1000.0
-        if level1_membership(polys, y, (0.0, u2, 0.0)).status == "member":
+        if leveld_membership(polys, y, (0.0, u2, 0.0), 1).status == "member":
             supremum = u2
     assert supremum is not None
     assert abs(supremum - 0.5) <= 1e-3
@@ -301,7 +302,7 @@ def test_criterion_9_leveld_and_hierarchy():
     for a in np.linspace(-0.6, 0.6, 10):
         for b in np.linspace(-0.6, 0.6, 10):
             u = (0.0, float(a), float(b))
-            low = level1_membership(cubic, y3, u).status
+            low = leveld_membership(cubic, y3, u, 1).status
             if low == "member":
                 high = leveld_membership(cubic, y3, u, 2).status
                 assert high != "non-member", u

@@ -39,7 +39,8 @@ class TestFormulas:
             assert value == TABLE_INHOMOGENEOUS[(2, d)]
 
     def test_surface_in_projective_3_space(self):
-        # chi = d(d^2-4d+6) and sectional genus (d-1)^2 give d^3 + d - 7
+        # chi = d(d^2-4d+6) and quadric-section genus (d-1)^2 give
+        # d^3 + d - 7
         for d in range(2, 7):
             chi = d * (d * d - 4 * d + 6)
             g2 = (d - 1) ** 2
@@ -48,7 +49,8 @@ class TestFormulas:
         assert TABLE_INHOMOGENEOUS[(3, 2)] == 3
 
     def test_veronese_surfaces(self):
-        # d = e^2, chi = 3, sectional genus C(2e-1, 2) give 11e^2 - 12e - 4
+        # d = e^2, chi = 3, quadric-section genus C(2e-1, 2) give
+        # 11e^2 - 12e - 4
         for e in range(2, 6):
             g2 = (2 * e - 1) * (2 * e - 2) // 2
             assert formula_surface(e * e, 3, g2) == 11 * e * e - 12 * e - 4

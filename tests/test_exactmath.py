@@ -17,7 +17,6 @@ from voronoi_cells.exactmath import (
     field_from_name,
     isolate_real_roots,
     parse_polynomial,
-    poly_gcd_content,
     squarefree_part,
 )
 from voronoi_cells.exactmath.sturm import (
@@ -148,12 +147,6 @@ class TestPolynomialArithmetic:
             assert a * (b + c) == a * b + a * c
             assert (a + b) * c == a * c + b * c
             assert a - a == R.zero()
-
-    def test_primitive_integer_form(self):
-        R = ring("u")
-        f = parse_polynomial("3/2*u^2 - 9/4*u + 3", R)
-        g = poly_gcd_content(f)
-        assert g == parse_polynomial("2*u^2 - 3*u + 4", R)
 
 
 class TestParser:

@@ -86,6 +86,17 @@ class TestBuchberger:
         assert err.value.budget == 10
         assert "10" in str(err.value)
 
+    def test_budget_exhausted_in_interreduction_names_the_budget(self):
+        # 52 steps run out while the final basis is tail-reduced; 54 suffice
+        _, gens = make(("x", "y", "z"),
+                       "x^2 + y^2 + z^2 - 1", "x*y - z^2 + 3*x",
+                       "x^3 - y*z + 2")
+        with pytest.raises(BudgetExhaustedError) as err:
+            groebner_basis(gens, budget=52)
+        assert err.value.budget == 52
+        assert "budget of 52 reduction steps" in str(err.value)
+        groebner_basis(gens, budget=54)
+
     def test_normal_form_is_invariant_on_cosets(self):
         ring, gens = make(("x", "y"), "x^2 - y", "y^2 - 2")
         gb = groebner_basis(gens)

@@ -1,4 +1,4 @@
-"""Jacobi SVD, Eckart-Young truncation, and low-rank cell membership."""
+"""SVD, Eckart-Young truncation, and low-rank cell membership."""
 import numpy as np
 import pytest
 
@@ -233,6 +233,14 @@ class TestCellMembership:
             r = int(rng.integers(1, min(m, n) + 1))
             v = eckart_young_truncate(u, r)
             assert cell_membership(u, v, r, tol=1e-7) != "outside"
+
+    @pytest.mark.parametrize("seed", [1988, 3829])
+    def test_own_truncation_is_inside_at_default_tolerance(self, seed):
+        # rank-3 truncations of 6 x 8 Gaussians whose singular frames
+        # must be orthogonal to well below DEFAULT_TOL for the mixed
+        # blocks to vanish
+        a = np.random.default_rng(seed).standard_normal((6, 8))
+        assert cell_membership(a, eckart_young_truncate(a, 3), 3) == "inside"
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(41)

@@ -8,9 +8,6 @@ import pytest
 from voronoi_cells.exactmath import PolyRing, parse_polynomial
 from voronoi_cells.sdp import (
     LMIFeasibilityProblem,
-    QuadricSystem,
-    hessian,
-    level1_membership,
     leveld_membership,
     lmi_feasible,
     veronese_lift,
@@ -50,6 +47,11 @@ def min_distance_to_curve(point_fn, u, lo, hi, samples=4001):
     return dist((a + b) / 2.0)
 
 
+def hessian(f):
+    """Hessian of f as the level-1 lift builds it."""
+    return veronese_lift([f], f.ring.nvars, 1).hessians[0]
+
+
 class TestHessian:
     def test_single_square(self):
         f = parse_polynomial("x1^2", RING3)
@@ -74,32 +76,28 @@ class TestHessian:
         assert np.abs(h).sum() == 2.0
 
     def test_rejects_cubics(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds 2d"):
             hessian(parse_polynomial("x1^3", RING3))
 
 
 class TestQuadricSystem:
+    """The quadric data of the level-1 lift."""
+
     def test_jacobian_columns_are_gradients(self):
-        system = QuadricSystem.from_polynomials(TWISTED_CUBIC)
-        jac = system.jacobian_at(ORIGIN)
+        lift = veronese_lift(TWISTED_CUBIC, 3, 1)
+        jac = lift.jacobian_at(ORIGIN)
         assert np.array_equal(jac[:, 0], [0.0, 1.0, 0.0])
         assert np.array_equal(jac[:, 1], [0.0, 0.0, 1.0])
-        jac = system.jacobian_at((1.0, 1.0, 1.0))
+        jac = lift.jacobian_at((1.0, 1.0, 1.0))
         assert np.array_equal(jac[:, 0], [-2.0, 1.0, 0.0])
         assert np.array_equal(jac[:, 1], [-1.0, -1.0, 1.0])
 
-    def test_residual(self):
-        system = QuadricSystem.from_polynomials(TWISTED_CUBIC)
-        assert system.residual_at(ORIGIN) == 0.0
-        assert system.residual_at((1.0, 1.0, 1.0)) == 0.0
-        assert system.residual_at((1.0, 0.0, 0.0)) == 1.0
-
     def test_rejects_empty_and_mixed_rings(self):
         with pytest.raises(ValueError):
-            QuadricSystem.from_polynomials(())
+            veronese_lift((), 3, 1)
         with pytest.raises(ValueError):
-            QuadricSystem.from_polynomials(
-                [TWISTED_CUBIC[0], parse_polynomial("x1", RING2)])
+            veronese_lift([TWISTED_CUBIC[0], parse_polynomial("x1", RING2)],
+                          3, 1)
 
 
 class TestLMIEngine:
@@ -286,42 +284,42 @@ class TestVeroneseLift:
 
 class TestLevelOne:
     def test_inside_the_tangent_parabola(self):
-        res = level1_membership(TWISTED_CUBIC, ORIGIN, (0.0, 0.4, 0.0))
+        res = leveld_membership(TWISTED_CUBIC, ORIGIN, (0.0, 0.4, 0.0), 1)
         assert res.status == "member"
 
     def test_outside_the_tangent_parabola(self):
-        res = level1_membership(TWISTED_CUBIC, ORIGIN, (0.0, 0.6, 0.0))
+        res = leveld_membership(TWISTED_CUBIC, ORIGIN, (0.0, 0.6, 0.0), 1)
         assert res.status == "non-member"
 
     def test_base_point_is_a_member_with_zero_witness(self):
-        res = level1_membership(TWISTED_CUBIC, ORIGIN, ORIGIN)
+        res = leveld_membership(TWISTED_CUBIC, ORIGIN, ORIGIN, 1)
         assert res.status == "member"
         assert np.abs(res.witness).max() <= 1e-12
 
     def test_off_normal_direction_is_rejected(self):
-        res = level1_membership(TWISTED_CUBIC, ORIGIN, (0.3, 0.1, 0.0))
+        res = leveld_membership(TWISTED_CUBIC, ORIGIN, (0.3, 0.1, 0.0), 1)
         assert res.status == "non-member"
 
     def test_rejects_point_off_the_variety(self):
         with pytest.raises(PointNotOnVarietyError):
-            level1_membership(TWISTED_CUBIC, (1.0, 0.0, 0.0), ORIGIN)
+            leveld_membership(TWISTED_CUBIC, (1.0, 0.0, 0.0), ORIGIN, 1)
 
     def test_member_witness_satisfies_the_certificate(self):
-        system = QuadricSystem.from_polynomials(TWISTED_CUBIC)
+        lift = veronese_lift(TWISTED_CUBIC, 3, 1)
         u = np.array([0.0, 0.3, 0.2])
-        res = level1_membership(system, ORIGIN, u)
+        res = leveld_membership(TWISTED_CUBIC, ORIGIN, u, 1)
         assert res.status == "member"
         lam = res.witness
-        total = sum(l * h for l, h in zip(lam, system.hessians))
+        total = sum(l * h for l, h in zip(lam, lift.hessians))
         assert max(np.linalg.eigvalsh(total - 2.0 * np.eye(3))) <= 2e-7
-        recovered = -0.5 * system.jacobian_at(ORIGIN) @ lam
+        recovered = -0.5 * lift.jacobian_at(ORIGIN) @ lam
         assert np.abs(recovered - u).max() <= 1e-9
 
     def test_tangency_supremum_at_one_half(self):
         lo, hi = 0.3, 0.7
         while hi - lo > 1e-5:
             mid = 0.5 * (lo + hi)
-            res = level1_membership(TWISTED_CUBIC, ORIGIN, (0.0, mid, 0.0))
+            res = leveld_membership(TWISTED_CUBIC, ORIGIN, (0.0, mid, 0.0), 1)
             if res.status == "member":
                 lo = mid
             else:
@@ -331,10 +329,10 @@ class TestLevelOne:
     def test_parabola_section_moves_with_u3(self):
         # certified region is 2 u2 <= 1 - u3^2, so at u3 = 0.4 the edge
         # sits at u2 = 0.42
-        assert level1_membership(
-            TWISTED_CUBIC, ORIGIN, (0.0, 0.41, 0.4)).status == "member"
-        assert level1_membership(
-            TWISTED_CUBIC, ORIGIN, (0.0, 0.43, 0.4)).status == "non-member"
+        assert leveld_membership(
+            TWISTED_CUBIC, ORIGIN, (0.0, 0.41, 0.4), 1).status == "member"
+        assert leveld_membership(
+            TWISTED_CUBIC, ORIGIN, (0.0, 0.43, 0.4), 1).status == "non-member"
 
 
 class TestLevelD:
@@ -355,11 +353,22 @@ class TestLevelD:
         assert res.status == "member"
 
     def test_level_one_agreement(self):
+        # the level-1 certificate written out by hand: Hessians of
+        # x2 - x1^2 and x3 - x1*x2, and their gradients at the origin
+        hessians = (np.diag([-2.0, 0.0, 0.0]),
+                    np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0],
+                              [0.0, 0.0, 0.0]]))
+        jacobian = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        verdict = {"feasible": "member", "infeasible": "non-member",
+                   "inconclusive": "inconclusive"}
         for u in [(0.0, 0.4, 0.0), (0.0, 0.6, 0.0), (0.0, 0.2, 0.3),
                   (0.1, 0.0, 0.0)]:
-            direct = level1_membership(TWISTED_CUBIC, ORIGIN, u).status
+            direct = lmi_feasible(LMIFeasibilityProblem(
+                lhs=hessians, rhs=2.0 * np.eye(3),
+                eq_matrix=0.5 * jacobian,
+                eq_rhs=np.asarray(ORIGIN) - np.asarray(u)))
             lifted = leveld_membership(TWISTED_CUBIC, ORIGIN, u, 1).status
-            assert direct == lifted
+            assert verdict[direct.status] == lifted
 
     def test_hierarchy_on_the_twisted_cubic(self):
         rng = np.random.default_rng(7)
@@ -367,7 +376,7 @@ class TestLevelD:
         for _ in range(30):
             u = (0.0, float(rng.uniform(-0.6, 0.6)),
                  float(rng.uniform(-0.6, 0.6)))
-            low = level1_membership(TWISTED_CUBIC, ORIGIN, u).status
+            low = leveld_membership(TWISTED_CUBIC, ORIGIN, u, 1).status
             if low != "member":
                 continue
             members += 1
@@ -394,7 +403,7 @@ class TestLevelD:
         for _ in range(40):
             u = np.array([0.0, rng.uniform(-0.5, 0.5),
                           rng.uniform(-0.5, 0.5)])
-            res = level1_membership(TWISTED_CUBIC, ORIGIN, u)
+            res = leveld_membership(TWISTED_CUBIC, ORIGIN, u, 1)
             if res.status != "member":
                 continue
             best = min_distance_to_curve(
