@@ -23,8 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .degrees import (
-    TABLE_HOMOGENEOUS,
-    TABLE_INHOMOGENEOUS,
     conjecture_hypersurface,
     formula_cone,
     formula_curve,

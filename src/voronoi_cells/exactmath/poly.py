@@ -8,9 +8,9 @@ returns a fresh object.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .fields import QQ, FieldError, PrimeField, RationalField
+from .fields import QQ, FieldError, RationalField
 from .orders import GREVLEX, MonomialOrder
 
 

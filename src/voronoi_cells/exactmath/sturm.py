@@ -5,10 +5,19 @@ Polynomials here are dense coefficient lists ``[c0, c1, ..., cd]`` over
 intervals ``(a, b]``; isolation bisects inside a Cauchy bound and refines
 each bracket below a requested width.  A root hit exactly by an endpoint is
 reported as a degenerate bracket ``(r, r)``.
+
+Signs come from integer evaluation: each chain member is scaled once to
+integer coefficients (a positive multiple, so its signs are unchanged),
+and its sign at x = a/b is the sign of b^d * P(a/b), computed in integers.
+Inside a single-root bracket refinement bisects on the sign of the
+squarefree polynomial alone, which changes sign at each of its simple
+roots; only a bracket whose lower end is itself a root falls back to the
+chain count.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .poly import Polynomial
@@ -108,24 +117,44 @@ def sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
     return chain
 
 
-def _variations(chain, x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = dense_eval(poly, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+def _integer_form(coeffs: Sequence[Fraction]) -> list[int]:
+    """The coefficients times the lcm of their denominators."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    return [int(c * den) for c in coeffs]
+
+
+def _sign_at(form: Sequence[int], x: Fraction) -> int:
+    """Sign of an integer polynomial at x = a/b, read from b^d * P(a/b)."""
+    a, b = x.numerator, x.denominator
+    v = 0
+    bpow = 1
+    for c in reversed(form):
+        v = v * a + c * bpow
+        bpow *= b
+    return (v > 0) - (v < 0)
+
+
+def _variations(forms, x: Fraction) -> int:
     count = 0
-    for s, t in zip(signs, signs[1:]):
-        if s != t:
-            count += 1
+    last = 0
+    for form in forms:
+        s = _sign_at(form, x)
+        if s:
+            if last and s != last:
+                count += 1
+            last = s
     return count
+
+
+def _count(forms, a: Fraction, b: Fraction) -> int:
+    if a >= b:
+        return 0
+    return _variations(forms, a) - _variations(forms, b)
 
 
 def count_roots(chain, a: Fraction, b: Fraction) -> int:
     """Distinct real roots in the half-open interval (a, b]."""
-    if a >= b:
-        return 0
-    return _variations(chain, a) - _variations(chain, b)
+    return _count([_integer_form(p) for p in chain], a, b)
 
 
 def cauchy_bound(coeffs: Sequence[Fraction]) -> Fraction:
@@ -146,9 +175,9 @@ def isolate_real_roots(coeffs: Sequence[Fraction], precision: Fraction = Fractio
     f = squarefree_part(coeffs)
     if len(f) <= 1:
         return []
-    chain = sturm_chain(f)
+    chain = [_integer_form(p) for p in sturm_chain(f)]
     bound = cauchy_bound(f) + 1
-    total = count_roots(chain, -bound, bound)
+    total = _count(chain, -bound, bound)
     if total == 0:
         return []
     found = []
@@ -157,10 +186,10 @@ def isolate_real_roots(coeffs: Sequence[Fraction], precision: Fraction = Fractio
     while stack:
         lo, hi, k = stack.pop()
         if k == 1:
-            found.append(_refine(f, chain, lo, hi, precision))
+            found.append(_refine(chain, lo, hi, precision))
             continue
         mid = (lo + hi) / 2
-        left = count_roots(chain, lo, mid)
+        left = _count(chain, lo, mid)
         right = k - left
         if left:
             stack.append((lo, mid, left))
@@ -170,17 +199,28 @@ def isolate_real_roots(coeffs: Sequence[Fraction], precision: Fraction = Fractio
     return found
 
 
-def _refine(f, chain, lo: Fraction, hi: Fraction, precision: Fraction):
-    """Shrink a single-root half-open bracket (lo, hi] below the target width."""
+def _refine(chain, lo: Fraction, hi: Fraction, precision: Fraction):
+    """Shrink a single-root half-open bracket (lo, hi] below the target width.
+
+    chain[0] is squarefree, so while f(lo) != 0 the root lies in (lo, mid)
+    exactly when f(mid) has the other sign; a root at lo needs the chain.
+    """
+    f = chain[0]
+    s_lo = _sign_at(f, lo)
     while hi - lo > precision:
         mid = (lo + hi) / 2
-        if dense_eval(f, mid) == 0:
+        s_mid = _sign_at(f, mid)
+        if s_mid == 0:
             return (mid, mid)
-        if count_roots(chain, lo, mid) == 1:
+        if s_lo:
+            in_left = s_mid != s_lo
+        else:
+            in_left = _count(chain, lo, mid) == 1
+        if in_left:
             hi = mid
         else:
-            lo = mid
-    if dense_eval(f, hi) == 0:
+            lo, s_lo = mid, s_mid
+    if _sign_at(f, hi) == 0:
         return (hi, hi)
     return (lo, hi)
 

@@ -7,6 +7,16 @@ would clear).  Reduction runs a max-heap over the pending monomials of the
 working polynomial; stale heap entries are skipped when their coefficient
 has already cancelled.
 
+Over F_p basis members are monic and reduction works mod p.  Over Q the
+engine reduces fraction-free: basis members are primitive integer
+polynomials with a positive leading coefficient, and when a reducer's
+leading coefficient a does not divide the coefficient c it cancels, the
+working polynomial is first scaled by a / gcd(a, c).  That polynomial is
+always a nonzero multiple of the one reduction over Q would hold, so the
+reducer choices and the step counts are those of rational arithmetic.  The
+kernel tracks the product of the scalings, which makes exact normal forms
+available without a single fraction in the loop.
+
 Buchberger's algorithm uses the normal selection strategy (smallest lcm
 first, ties broken by generator indices), the coprime-leading-term
 criterion and the chain criterion over already-treated pairs, so runs are
@@ -21,6 +31,8 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exactmath.fields import PrimeField, QQ, field_from_name
@@ -139,8 +151,10 @@ class _Engine:
         # a power-of-two threshold, so most non-divisors fail one int test
         self._mask_bits = max(1, min(6, 62 // max(self.n, 1)))
         self._masks: dict = {}
-        # basis storage: parallel lists over insertion index
+        # basis storage: parallel lists over insertion index; blc holds the
+        # leading coefficients (1 over F_p, where members are monic)
         self.blt: list[int] = []
+        self.blc: list[int] = []
         self.btail: list[list] = []
         self.bmask: list[int] = []
         self.alive: list[bool] = []
@@ -197,33 +211,34 @@ class _Engine:
             out |= max(ea, eb) << shift
         return out
 
-    def poly_to_dict(self, f: Polynomial) -> dict:
-        return {self.encode(mon): c for mon, c in f.terms.items()}
+    def poly_to_dict(self, f: Polynomial) -> tuple[dict, int]:
+        """Encoded term dict of den * f, and den: over Q den is the lcm of
+        the coefficient denominators, so the dict holds integers; over F_p
+        it is 1."""
+        if self.modp:
+            return {self.encode(mon): c for mon, c in f.terms.items()}, 1
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        return {self.encode(mon): c.numerator * (den // c.denominator)
+                for mon, c in f.terms.items()}, den
 
-    def dict_to_poly(self, d: dict, target: PolyRing | None = None) -> Polynomial:
-        ring = target or self.ring
-        return ring.from_terms({self.decode(e): c for e, c in d.items()})
+    def dict_to_poly(self, d: dict, scale=1) -> Polynomial:
+        """The polynomial d / scale; scale is always 1 over F_p."""
+        if self.modp:
+            return self.ring.from_terms({self.decode(e): c for e, c in d.items()})
+        return self.ring.from_terms(
+            {self.decode(e): Fraction(c) / scale for e, c in d.items()})
 
     # -- basis management ---------------------------------------------------
     def add_basis_poly(self, d: dict):
-        """Insert a monic polynomial given as an encoded term dict."""
+        """Insert a polynomial given as an encoded term dict: monic over
+        F_p, with integer coefficients over Q."""
         items = sorted(d.items(), key=lambda t: self.keyd(t[0]))
-        lt = items[0][0]
+        lt, lc = items[0]
         self.blt.append(lt)
+        self.blc.append(lc)
         self.btail.append(items[1:])
         self.bmask.append(self.mask(lt))
         self.alive.append(True)
-
-    def find_reducer(self, e: int):
-        guard = self.guard
-        eg = e | guard
-        not_em = ~self.mask(e)
-        alive = self.alive
-        for idx, lt in enumerate(self.blt):
-            if alive[idx] and not (self.bmask[idx] & not_em) \
-                    and (eg - lt) & guard == guard:
-                return idx
-        return None
 
     def tick(self):
         self.steps += 1
@@ -231,10 +246,13 @@ class _Engine:
             raise BudgetExhaustedError(self.stage, self.budget)
 
     # -- reduction kernels ----------------------------------------------------
-    def reduce_full(self, fdict: dict) -> dict:
+    def reduce_full(self, fdict: dict) -> tuple[dict, int | Fraction]:
+        """Full reduction of an encoded term dict: (R, scale), where
+        R / scale is the remainder of the dict.  Over F_p scale is 1; over
+        Q the dict holds integers, R is primitive and scale a Fraction."""
         if self.modp:
-            return self._reduce_modp(fdict)
-        return self._reduce_generic(fdict)
+            return self._reduce_modp(fdict), 1
+        return self._reduce_q(fdict)
 
     def _reduce_modp(self, fdict: dict) -> dict:
         p = self.p
@@ -284,73 +302,108 @@ class _Engine:
                     del coeff[te]
         return out
 
-    def _reduce_generic(self, fdict: dict) -> dict:
-        field = self.field
-        zero = field.zero
-        mul = field.mul
-        sub = field.sub
+    def _reduce_q(self, fdict: dict) -> tuple[dict, Fraction]:
         coeff = dict(fdict)
         heap = [(self.keyd(e), e) for e in coeff]
         heapq.heapify(heap)
         out: dict = {}
+        scale = 1  # product of the factors the working polynomial took
+        blt = self.blt
+        blc = self.blc
+        btail = self.btail
+        bmask = self.bmask
+        alive = self.alive
+        guard = self.guard
         keyd = self.keyd
+        mask = self.mask
         push = heapq.heappush
+        pop = heapq.heappop
+        nbasis = len(blt)
         while heap:
-            _, e = heapq.heappop(heap)
+            _, e = pop(heap)
             c = coeff.pop(e, None)
             if c is None:
                 continue
-            idx = self.find_reducer(e)
-            if idx is None:
+            eg = e | guard
+            not_em = ~mask(e)
+            idx = -1
+            for i in range(nbasis):
+                if alive[i] and not (bmask[i] & not_em) \
+                        and (eg - blt[i]) & guard == guard:
+                    idx = i
+                    break
+            if idx < 0:
                 out[e] = c
                 continue
             self.tick()
-            shift = e - self.blt[idx]
-            for me, gc in self.btail[idx]:
+            a = blc[idx]
+            if c % a:
+                # scale pending and emitted terms so that a divides c
+                h = gcd(a, c)
+                m = a // h
+                scale *= m
+                coeff = {k: v * m for k, v in coeff.items()}
+                out = {k: v * m for k, v in out.items()}
+                q = c // h
+            else:
+                q = c // a
+            shift = e - blt[idx]
+            for me, gc in btail[idx]:
                 te = me + shift
                 old = coeff.get(te)
                 if old is None:
-                    nv = field.neg(mul(c, gc))
-                    if nv != zero:
-                        coeff[te] = nv
-                        push(heap, (keyd(te), te))
+                    coeff[te] = -q * gc
+                    push(heap, (keyd(te), te))
+                elif (nv := old - q * gc):
+                    coeff[te] = nv
                 else:
-                    nv = sub(old, mul(c, gc))
-                    if nv != zero:
-                        coeff[te] = nv
-                    else:
-                        del coeff[te]
-        return out
+                    del coeff[te]
+        if not out:
+            return out, Fraction(1)
+        content = gcd(*out.values())
+        if content != 1:
+            out = {e: c // content for e, c in out.items()}
+        return out, Fraction(scale, content)
 
-    def make_monic(self, d: dict) -> dict:
-        lt = min(d, key=self.keyd)
-        lc = d[lt]
-        if lc == self.field.one:
+    def normalize(self, d: dict) -> dict:
+        """Monic over F_p; over Q primitive with a positive leading
+        coefficient."""
+        lc = d[min(d, key=self.keyd)]
+        if self.modp:
+            if lc == 1:
+                return d
+            inv = self.field.inv(lc)
+            p = self.p
+            return {e: inv * c % p for e, c in d.items()}
+        content = gcd(*d.values())
+        if lc < 0:
+            content = -content
+        if content == 1:
             return d
-        inv = self.field.inv(lc)
-        mul = self.field.mul
-        return {e: mul(inv, c) for e, c in d.items()}
+        return {e: c // content for e, c in d.items()}
 
     def spoly(self, i: int, j: int, l: int) -> dict:
-        """S-polynomial of two monic basis members, as an encoded dict."""
-        field = self.field
-        zero = field.zero
-        d: dict = {}
+        """S-polynomial of two basis members, as an encoded dict: over Q the
+        integer combination (a_j/h) x^(l - lt_i) g_i - (a_i/h) x^(l - lt_j)
+        g_j of members with leading coefficients a_i, a_j, h = gcd(a_i, a_j)."""
+        p = self.p
+        ai = self.blc[i]
+        aj = self.blc[j]
+        h = gcd(ai, aj)
+        fi = aj // h
+        fj = ai // h
         si = l - self.blt[i]
         sj = l - self.blt[j]
-        for me, c in self.btail[i]:
-            d[me + si] = c
+        d = {me + si: fi * c for me, c in self.btail[i]}
         for me, c in self.btail[j]:
             te = me + sj
-            old = d.get(te)
-            if old is None:
-                d[te] = field.neg(c)
+            nv = d.get(te, 0) - fj * c
+            if p:
+                nv %= p
+            if nv:
+                d[te] = nv
             else:
-                nv = field.sub(old, c)
-                if nv != zero:
-                    d[te] = nv
-                else:
-                    del d[te]
+                del d[te]
         return d
 
 
@@ -412,7 +465,7 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
     for g in gens:
         if g.is_zero():
             continue
-        d = eng.make_monic(eng.poly_to_dict(g))
+        d = eng.normalize(eng.poly_to_dict(g)[0])
         key = frozenset(d.items())
         if key not in seen:
             seen.add(key)
@@ -425,9 +478,9 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
         _gm_update(eng, pairs, d)
     while pairs:
         _, l, i, j = heapq.heappop(pairs)
-        nf = eng.reduce_full(eng.spoly(i, j, l))
+        nf, _ = eng.reduce_full(eng.spoly(i, j, l))
         if nf:
-            _gm_update(eng, pairs, eng.make_monic(nf))
+            _gm_update(eng, pairs, eng.normalize(nf))
     return _finalize(eng)
 
 
@@ -488,7 +541,7 @@ def _finalize(eng: _Engine) -> GroebnerBasis:
     # interreduce: fully reduce each member against the others
     polys: dict[int, dict] = {}
     for idx in kept:
-        d = {eng.blt[idx]: eng.field.one}
+        d = {eng.blt[idx]: eng.blc[idx]}
         d.update(dict(eng.btail[idx]))
         polys[idx] = d
     for idx in kept:
@@ -497,12 +550,14 @@ def _finalize(eng: _Engine) -> GroebnerBasis:
         for other in kept:
             if other != idx:
                 sub.add_basis_poly(polys[other])
-        reduced = sub.reduce_full(polys[idx])
+        reduced, _ = sub.reduce_full(polys[idx])
         eng.steps = sub.steps
-        polys[idx] = sub.make_monic(reduced)
+        polys[idx] = sub.normalize(reduced)
 
-    final = sorted(polys.values(), key=lambda d: eng.keyd(min(d, key=eng.keyd)))
-    return GroebnerBasis(eng.ring, tuple(eng.dict_to_poly(d) for d in final))
+    # no other kept leading term divides blt[idx], so reduction keeps it
+    kept.sort(key=lambda idx: eng.keyd(eng.blt[idx]))
+    return GroebnerBasis(eng.ring, tuple(
+        eng.dict_to_poly(polys[idx], polys[idx][eng.blt[idx]]) for idx in kept))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis, *, budget: int | None = None) -> Polynomial:
@@ -513,8 +568,10 @@ def normal_form(f: Polynomial, gb: GroebnerBasis, *, budget: int | None = None) 
         return f
     eng = _Engine(gb.ring, budget, "normal form")
     for g in gb.polys:
-        eng.add_basis_poly(eng.poly_to_dict(g))
-    return eng.dict_to_poly(eng.reduce_full(eng.poly_to_dict(f)))
+        eng.add_basis_poly(eng.poly_to_dict(g)[0])
+    d, den = eng.poly_to_dict(f)
+    nf, scale = eng.reduce_full(d)
+    return eng.dict_to_poly(nf, scale * den)
 
 
 def interreduce(polys: Iterable[Polynomial], ring: PolyRing | None = None, *,
@@ -527,7 +584,7 @@ def interreduce(polys: Iterable[Polynomial], ring: PolyRing | None = None, *,
     ring = _resolve_ring(polys, ring)
     eng = _Engine(ring, budget, "interreduction")
     for p in polys:
-        eng.add_basis_poly(eng.make_monic(eng.poly_to_dict(p)))
+        eng.add_basis_poly(eng.normalize(eng.poly_to_dict(p)[0]))
     return _finalize(eng).polys
 
 
@@ -652,7 +709,10 @@ def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerB
 
     gb must be a zero-dimensional reduced basis of the engine's ring.  The
     normal forms NF(s^i) = NF(s * NF(s^(i-1))) are echeloned as they come;
-    the first one that reduces to zero gives the dependence.
+    the first one that reduces to zero gives the dependence.  The kernel
+    reduces s * R(i-1) for the remainder R(i-1) = lam(i-1) * NF(s^(i-1)) it
+    returned last, so lam(i) = mu(i) * lam(i-1) with mu(i) the scale of the
+    new reduction (all 1 over F_p).
     """
     field = eng.field
     zero, one = field.zero, field.one
@@ -660,7 +720,7 @@ def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerB
     nf_eng = _Engine(gb.ring, eng.budget, eng.stage, eng.steps)
     nf_eng._keya = eng._keya
     for p in gb.polys:
-        nf_eng.add_basis_poly(nf_eng.poly_to_dict(p))
+        nf_eng.add_basis_poly(nf_eng.poly_to_dict(p)[0])
     shift = 1 << (_W * gb.ring.index_of(name))
 
     def axpy(y: dict, a, x: dict):
@@ -673,10 +733,10 @@ def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerB
                 y[e] = v
 
     rows: list = []  # (pivot, normalized vector, its combination of powers)
-    nf = nf_eng.reduce_full({0: one})
+    rem, lam = nf_eng.reduce_full({0: 1})
     power = 0
     while True:
-        vec = dict(nf)
+        vec = dict(rem) if nf_eng.modp else {e: c / lam for e, c in rem.items()}
         combo = {power: one}
         for pivot, row, row_combo in rows:
             c = vec.get(pivot)
@@ -690,7 +750,8 @@ def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerB
         rows.append((pivot,
                      {e: mul(inv, c) for e, c in vec.items()},
                      {m: mul(inv, c) for m, c in combo.items()}))
-        nf = nf_eng.reduce_full({e + shift: c for e, c in nf.items()})
+        rem, mu = nf_eng.reduce_full({e + shift: c for e, c in rem.items()})
+        lam *= mu
         power += 1
     sub_ring = PolyRing((name,), field=field, order=GREVLEX)
     return GroebnerBasis(sub_ring, (sub_ring.from_terms(

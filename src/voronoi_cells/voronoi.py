@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath.fields import QQ, RationalField
+from .exactmath.fields import RationalField
 from .exactmath.orders import GREVLEX
 from .exactmath.poly import Polynomial, PolyRing
 from .exactmath.sturm import (
@@ -52,7 +52,7 @@ from .groebner import (
     quotient_degree,
     saturate_eliminate,
 )
-from .unifactor import Factor, factor_rational
+from .unifactor import factor_rational
 
 
 class PointNotOnVarietyError(ValueError):

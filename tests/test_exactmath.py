@@ -263,6 +263,46 @@ class TestSturm:
             for (lo, hi), r in zip(brackets, roots):
                 assert lo <= r <= hi and hi - lo <= Fraction(1, 1000)
 
+    def test_bracket_starting_at_a_root(self):
+        # u^3 - u: the first midpoint, 0, is a root, so the bracket of the
+        # root 1 starts at a root and refinement must use the chain count
+        f = self.u_poly("u^3 - u")
+        assert isolate_real_roots(f) == [
+            (Fraction(-2097153, 2097152), Fraction(-4194303, 4194304)),
+            (Fraction(0), Fraction(0)),
+            (Fraction(4194303, 4194304), Fraction(2097153, 2097152)),
+        ]
+
+    def test_close_roots_with_fractional_coefficients(self):
+        # (u - 1/3)(u - 1/3 - 10^-9)(u + 5/2), brackets as isolated with
+        # Fraction evaluation throughout
+        r = Fraction(1, 3)
+        f = [r * (r + Fraction(1, 10**9)) * Fraction(5, 2),
+             Fraction(-28000000039, 18000000000),
+             Fraction(5499999997, 3000000000), Fraction(1)]
+        assert isolate_real_roots(f) == [
+            (Fraction(-3932160498974219, 1572864000000000),
+             Fraction(-2097151499452917, 838860800000000)),
+            (Fraction(536870910359946719, 1610612736000000000),
+             Fraction(715827884313262291, 2147483648000000000)),
+            (Fraction(715827884313262291, 2147483648000000000),
+             Fraction(214748366443978687, 644245094400000000)),
+        ]
+        assert isolate_real_roots(f, Fraction(1, 10**12)) == [
+            (Fraction(-10995116277763208796357, 4398046511104000000000),
+             Fraction(-16492674416639063194537, 6597069766656000000000)),
+            (Fraction(274877906943792719909, 824633720832000000000),
+             Fraction(1466015503704061172847, 4398046511104000000000)),
+            (Fraction(1466015508097061171701, 4398046511104000000000),
+             Fraction(43980465243026835151, 131941395333120000000)),
+        ]
+        chain = sturm_chain(f)
+        assert all(isinstance(c, Fraction) for p in chain for c in p)
+        assert count_roots(chain, Fraction(0), Fraction(1)) == 2
+        assert count_roots(chain, Fraction(-3), Fraction(0)) == 1
+        assert count_roots(chain, r, r + Fraction(1, 10**9)) == 1
+        assert count_roots(chain, Fraction(-10), Fraction(10)) == 3
+
     def test_divmod_and_gcd(self):
         a = self.u_poly("u^4 - 1")
         b = self.u_poly("u^2 - 1")

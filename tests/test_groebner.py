@@ -97,6 +97,17 @@ class TestBuchberger:
         assert "budget of 52 reduction steps" in str(err.value)
         groebner_basis(gens, budget=54)
 
+    def test_fractional_coefficients_spend_the_rational_step_count(self):
+        # measured with Fraction arithmetic; fraction-free reduction takes
+        # the same reducer at every step, so 53 steps run out and 54 suffice
+        _, gens = make(("x", "y", "z"),
+                       "x^2 + (1/3)*y^2 + z^2 - 1", "x*y - (2/7)*z^2 + 3*x",
+                       "x^3 - (5/2)*y*z + 2")
+        with pytest.raises(BudgetExhaustedError) as err:
+            groebner_basis(gens, budget=53)
+        assert err.value.stage == "groebner"
+        assert len(groebner_basis(gens, budget=54)) == 6
+
     def test_normal_form_is_invariant_on_cosets(self):
         ring, gens = make(("x", "y"), "x^2 - y", "y^2 - 2")
         gb = groebner_basis(gens)

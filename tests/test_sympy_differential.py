@@ -4,7 +4,10 @@ Reduced Groebner bases are unique, so the engine and sympy must return the
 same set of monic polynomials, over Q and over GF(32003).  Elimination is
 checked against sympy's lex basis: its members free of the dropped
 variables generate the elimination ideal, which sympy then re-bases in
-grevlex on the kept variables.
+grevlex on the kept variables.  Normal forms over Q are checked against
+the remainder of sympy.reduced by the reduced basis, which is unique too.
+Coefficients are rationals with denominators up to 7, so the engine's
+fraction-free scaling is exercised on every input.
 """
 from fractions import Fraction
 from itertools import product
@@ -18,7 +21,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from voronoi_cells.exactmath import QQ, PolyRing, PrimeField  # noqa: E402
-from voronoi_cells.groebner import eliminate, groebner_basis  # noqa: E402
+from voronoi_cells.groebner import (  # noqa: E402
+    eliminate,
+    groebner_basis,
+    normal_form,
+)
 
 P = 32003
 BUDGET = 20_000
@@ -30,16 +37,18 @@ CHECKS = settings(max_examples=50, deadline=None, derandomize=True,
 
 def _term_map(nvars):
     monomials = [e for e in product(range(4), repeat=nvars) if sum(e) <= 3]
-    return st.dictionaries(st.sampled_from(monomials),
-                           st.sampled_from([-5, -4, -3, -2, -1,
-                                            1, 2, 3, 4, 5]),
+    coefficients = st.builds(Fraction,
+                             st.sampled_from([-5, -4, -3, -2, -1,
+                                              1, 2, 3, 4, 5]),
+                             st.integers(1, 7))
+    return st.dictionaries(st.sampled_from(monomials), coefficients,
                            min_size=1, max_size=4)
 
 
 @st.composite
 def systems(draw, min_vars=1):
     """(variable names, generator term maps): <= 3 variables, degree <= 3,
-    <= 3 generators with small integer coefficients."""
+    <= 3 generators with small rational coefficients."""
     nvars = draw(st.integers(min_vars, 3))
     gens = draw(st.lists(_term_map(nvars), min_size=1, max_size=3))
     return NAMES[:nvars], gens
@@ -73,13 +82,26 @@ def _sympy_groebner(polys, symbols, field_name, order):
     return sympy.groebner(polys, *symbols, order=order, domain="QQ")
 
 
+def _poly(ring, terms):
+    return ring.from_terms({e: ring.field.coerce(c) for e, c in terms.items()})
+
+
+def _expr(terms, symbols, field_name="QQ"):
+    """A sympy expression; over GF(p) from the coefficients' images mod p,
+    since sympy's finite fields take no fractions."""
+    if field_name == "GF":
+        coeffs = {e: FIELDS["GF"].coerce(c) for e, c in terms.items()}
+    else:
+        coeffs = {e: sympy.Rational(c.numerator, c.denominator)
+                  for e, c in terms.items()}
+    return sympy.Poly.from_dict(coeffs, *symbols).as_expr()
+
+
 def _inputs(names, gens, field_name):
     ring = PolyRing(names, field=FIELDS[field_name])
-    coeff = (lambda c: c % P) if field_name == "GF" else Fraction
-    ours = [ring.from_terms({e: coeff(c) for e, c in g.items()})
-            for g in gens]
+    ours = [_poly(ring, g) for g in gens]
     symbols = sympy.symbols(names)
-    theirs = [sympy.Poly.from_dict(g, *symbols).as_expr() for g in gens]
+    theirs = [_expr(g, symbols, field_name) for g in gens]
     return ours, symbols, theirs
 
 
@@ -120,3 +142,27 @@ def test_eliminate_matches_sympy(field_name, system, data):
     else:
         reference = set()
     assert _ours(gb, field_name) == reference
+
+
+@CHECKS
+@given(system=systems(), data=st.data())
+def test_normal_form_matches_sympy_reduced(system, data):
+    names, gens = system
+    ours, symbols, theirs = _inputs(names, gens, "QQ")
+    ring = ours[0].ring
+    f_terms = data.draw(_term_map(len(names)))
+    f = _poly(ring, f_terms)
+    member = ring.zero()
+    for g in ours:
+        member = member + _poly(ring, data.draw(_term_map(len(names)))) * g
+    gb = groebner_basis(ours, budget=BUDGET)
+    reference = _sympy_groebner(theirs, symbols, "QQ", "grevlex")
+    _, rem = sympy.reduced(_expr(f_terms, symbols), reference.exprs,
+                           *symbols, order="grevlex", domain="QQ")
+    want = {} if rem == 0 else _sympy_terms(sympy.Poly(rem, *symbols))
+
+    nf = normal_form(f, gb, budget=BUDGET)
+    assert nf.terms == want
+    assert normal_form(f + member, gb, budget=BUDGET) == nf
+    assert gb.contains(member, budget=BUDGET)
+    assert gb.contains(f, budget=BUDGET) == (not want)

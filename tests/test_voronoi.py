@@ -359,6 +359,17 @@ class TestBudget:
             voronoi_ideal(spec, (0, 0, 0), budget=25)
         assert err.value.stage in {"saturation", "intersection", "groebner"}
 
+    def test_fractional_point_spends_the_rational_step_count(self):
+        # the cuspidal cubic at t = 2/5: measured with Fraction arithmetic,
+        # 501 steps run out in the saturation and 502 suffice
+        spec = IdealSpec.from_strings(("x1", "x2"), [CUSPIDAL])
+        t = Fraction(2, 5)
+        with pytest.raises(BudgetExhaustedError) as err:
+            voronoi_ideal(spec, (t**2, t**3), budget=501)
+        assert err.value.stage == "saturation"
+        report = voronoi_ideal(spec, (t**2, t**3), budget=502)
+        assert report.degree == 4
+
 
 def _solve_two_linear(ring, gens):
     """Exact solution of two independent affine-linear forms in u1, u2."""
