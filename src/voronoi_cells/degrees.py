@@ -39,6 +39,10 @@ class UnluckySliceError(RuntimeError):
     """The sliced system failed to become zero-dimensional."""
 
 
+# fresh draws a replica may take after a singular point or an unlucky slice
+MAX_RESEEDS = 5
+
+
 # ---------------------------------------------------------------------------
 # closed-form degree formulas
 
@@ -252,13 +256,12 @@ def _sliced_degree_once(spec: IdealSpec, point, codim: int, seed: int,
 
 def voronoi_degree_modp(spec: IdealSpec, point, *, codim: int | None = None,
                         seed: int = 0, replicas: int = 3,
-                        max_reseeds: int = 5,
                         budget: int | None = None) -> DegreeExperiment:
     """Measure the Voronoi degree of V(I) at y over its prime field.
 
     Each replica draws fresh slice and saturation randomness from seed + i;
     a replica whose slice fails to cut the boundary to points is reseeded
-    up to ``max_reseeds`` times.  The majority degree is reported, with all
+    up to MAX_RESEEDS times.  The majority degree is reported, with all
     runs listed and a stability flag.
     """
     field = spec.ring.field
@@ -268,7 +271,7 @@ def voronoi_degree_modp(spec: IdealSpec, point, *, codim: int | None = None,
     runs = []
     for i in range(replicas):
         runs.append(_run_with_reseeds(spec, point, c, seed + i, field.p,
-                                      max_reseeds, budget))
+                                      budget))
     return _stabilize(spec, point, c, seed, field.p, runs)
 
 
@@ -276,7 +279,6 @@ def hypersurface_degree_experiment(n: int, d: int, *,
                                    homogeneous: bool = False, seed: int = 0,
                                    primes: Sequence[int] = (32003, 65537,
                                                             32003),
-                                   max_reseeds: int = 5,
                                    budget: int | None = None
                                    ) -> DegreeExperiment:
     """Measured Voronoi degree of a random degree-d hypersurface in n-space.
@@ -299,7 +301,7 @@ def hypersurface_degree_experiment(n: int, d: int, *,
                 deg = _sliced_degree_once(spec, y, 1, gen_seed, budget)
             except (SingularPointError, UnluckySliceError):
                 attempt += 1
-                if attempt > max_reseeds:
+                if attempt > MAX_RESEEDS:
                     raise
                 continue
             if first is None:
@@ -310,7 +312,7 @@ def hypersurface_degree_experiment(n: int, d: int, *,
     return _stabilize(spec, y, 1, seed, primes[0], runs)
 
 
-def _run_with_reseeds(spec, point, codim, seed, prime, max_reseeds, budget):
+def _run_with_reseeds(spec, point, codim, seed, prime, budget):
     attempt = 0
     while True:
         run_seed = seed + 1000003 * attempt
@@ -319,7 +321,7 @@ def _run_with_reseeds(spec, point, codim, seed, prime, max_reseeds, budget):
                     _sliced_degree_once(spec, point, codim, run_seed, budget))
         except UnluckySliceError:
             attempt += 1
-            if attempt > max_reseeds:
+            if attempt > MAX_RESEEDS:
                 raise
 
 

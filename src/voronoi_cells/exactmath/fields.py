@@ -63,11 +63,6 @@ class RationalField:
             raise FieldError("division by zero in Q")
         return 1 / a
 
-    def div(self, a, b):
-        if b == 0:
-            raise FieldError("division by zero in Q")
-        return a / b
-
     def coerce(self, value) -> Fraction:
         """Turn an int / Fraction / decimal-free string into a field element."""
         if isinstance(value, Fraction):
@@ -124,9 +119,6 @@ class PrimeField:
         if a == 0:
             raise FieldError(f"division by zero in F_{self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def coerce(self, value) -> int:
         if isinstance(value, int):

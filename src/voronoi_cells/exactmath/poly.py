@@ -72,11 +72,6 @@ class PolyRing:
     def index_of(self, name: str) -> int:
         return self._index[name]
 
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        if order == self.order:
-            return self
-        return PolyRing(self.variables, self.field, order)
-
     def key_asc(self, mon):
         return self.order.key_asc(mon)
 
@@ -127,11 +122,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.sorted_terms()[0][1]
 
-    def leading_term(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1
@@ -149,10 +139,6 @@ class Polynomial:
                 if e:
                     used.add(i)
         return tuple(sorted(used))
-
-    def constant_value(self):
-        """Coefficient of the constant term (field zero if absent)."""
-        return self.terms.get(self.ring._zero_mon, self.ring.field.zero)
 
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "Polynomial"):

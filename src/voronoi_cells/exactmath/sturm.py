@@ -170,12 +170,16 @@ def isolate_real_roots(coeffs: Sequence[Fraction], precision: Fraction = Fractio
     """Disjoint brackets for every distinct real root, ascending.
 
     Each bracket (lo, hi) satisfies lo <= root <= hi and hi - lo <= precision;
-    a root known exactly is returned as (r, r).
+    a root known exactly is returned as (r, r).  Bisection starts from the
+    symmetric bracket (-B, B] with B >= 2, so its first split is at 0: for
+    a precision below 4 no bracket has 0 strictly inside (lo < 0 < hi never
+    holds).
     """
-    f = squarefree_part(coeffs)
-    if len(f) <= 1:
+    chain = sturm_chain(coeffs)
+    if len(chain) < 2:  # zero or a constant
         return []
-    chain = [_integer_form(p) for p in sturm_chain(f)]
+    f = chain[0]
+    chain = [_integer_form(p) for p in chain]
     bound = cauchy_bound(f) + 1
     total = _count(chain, -bound, bound)
     if total == 0:
@@ -227,9 +231,8 @@ def _refine(chain, lo: Fraction, hi: Fraction, precision: Fraction):
 
 def count_real_roots(coeffs: Sequence[Fraction]) -> int:
     """Number of distinct real roots."""
-    f = squarefree_part(coeffs)
-    if len(f) <= 1:
+    chain = sturm_chain(coeffs)
+    if len(chain) < 2:  # zero or a constant
         return 0
-    chain = sturm_chain(f)
-    bound = cauchy_bound(f) + 1
+    bound = cauchy_bound(chain[0]) + 1
     return count_roots(chain, -bound, bound)

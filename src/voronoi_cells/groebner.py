@@ -25,6 +25,12 @@ exceeding it raises BudgetExhaustedError rather than looping forever.
 
 Reduced bases are monic, pairwise irreducible and sorted with the largest
 leading term first, which makes them canonical for the ring's order.
+
+Elimination, saturation and intersection share one route: the grevlex
+basis of the generators comes first; a single kept variable over a
+zero-dimensional basis then takes the minimal polynomial of
+multiplication by that variable, and anything else a block-order run
+started from the grevlex basis.
 """
 from __future__ import annotations
 
@@ -596,12 +602,34 @@ def eliminate(gens: Iterable[Polynomial], drop: Sequence[str], ring: PolyRing | 
     and uses graded reverse lexicographic comparison.
     """
     gens = list(gens)
-    ring = _resolve_ring(gens, ring)
+    return _eliminate(gens, _resolve_ring(gens, ring), drop, budget, stage)
+
+
+def _eliminate(gens: list[Polynomial], ring: PolyRing, drop: Sequence[str],
+               budget: int | None, stage: str) -> GroebnerBasis:
+    """Basis of <gens> intersected with the ring of the kept variables.
+
+    The grevlex basis G of the generators, with the dropped variables
+    first, always comes first.  When exactly one variable s is kept and G
+    is zero-dimensional, the answer is the minimal polynomial of
+    multiplication by s on the quotient, read off the first linear
+    dependence among the normal forms of 1, s, s^2, ... (the univariate
+    step of FGLM).  Otherwise a block-order Buchberger run starts from G's
+    members, the cheap end of a Groebner walk: G generates the same ideal
+    and reduced bases are unique, so the result is that of block
+    elimination from the generators.  Both steps charge one step budget.
+    """
     head, tail = _split_variables(ring, drop)
-    work = PolyRing(head + tail, field=ring.field, order=BlockElim(len(head)))
-    var_map = [work.index_of(v) for v in ring.variables]
-    moved = [g.map_ring(work, var_map) for g in gens]
-    return _block_eliminate(_Engine(work, budget, stage), moved)
+    names = head + tail
+    grevlex = PolyRing(names, field=ring.field, order=GREVLEX)
+    var_map = [grevlex.index_of(v) for v in ring.variables]
+    eng = _Engine(grevlex, budget, stage)
+    gb = _buchberger(eng, [f.map_ring(grevlex, var_map) for f in gens])
+    if len(tail) == 1 and is_zero_dimensional(gb):
+        return _minimal_polynomial(eng, gb, tail[0])
+    work = PolyRing(names, field=ring.field, order=BlockElim(len(head)))
+    return _block_eliminate(_Engine(work, budget, stage, eng.steps),
+                            [Polynomial(work, p.terms) for p in gb.polys])
 
 
 def _split_variables(ring: PolyRing, drop: Sequence[str]) -> tuple[list, list]:
@@ -670,38 +698,17 @@ def saturate_eliminate(gens: Iterable[Polynomial], g: Polynomial,
     """Basis of (<gens> : g^infinity) intersected with the ring of the kept
     variables, in a grevlex ring on those variables.
 
-    The saturation adds 1 - t*g for a fresh variable t.  When exactly one
-    variable s is kept and the grevlex basis of that system is
-    zero-dimensional, the answer is the minimal polynomial of
-    multiplication by s on the quotient, read off the first linear
-    dependence among the normal forms of 1, s, s^2, ... (the univariate
-    step of FGLM).  Otherwise t and the dropped variables are eliminated
-    with a block order.  Both routes charge one step budget.
+    The saturation adds 1 - t*g for a fresh variable t, which is then
+    eliminated together with the dropped variables.
     """
     gens = list(gens)
     ring = _resolve_ring(gens + [g], ring)
-    head, tail = _split_variables(ring, drop)
     tname = _fresh_var(ring)
-    names = [tname] + head + tail
-    steps = 0
-    if len(tail) == 1:
-        line = PolyRing(names, field=ring.field, order=GREVLEX)
-        eng = _Engine(line, budget, stage)
-        gb = _buchberger(eng, _with_inverse(gens, g, ring, line, tname))
-        if is_zero_dimensional(gb):
-            return _minimal_polynomial(eng, gb, tail[0])
-        steps = eng.steps
-    work = PolyRing(names, field=ring.field, order=BlockElim(1 + len(head)))
-    return _block_eliminate(_Engine(work, budget, stage, steps),
-                            _with_inverse(gens, g, ring, work, tname))
-
-
-def _with_inverse(gens, g, ring: PolyRing, work: PolyRing, tname: str) -> list:
-    """The generators moved into the work ring, plus 1 - t*g."""
-    var_map = [work.index_of(v) for v in ring.variables]
+    work = PolyRing((tname,) + ring.variables, field=ring.field)
+    var_map = list(range(1, work.nvars))
     moved = [f.map_ring(work, var_map) for f in gens]
     moved.append(work.one() - work.variable(tname) * g.map_ring(work, var_map))
-    return moved
+    return _eliminate(moved, work, [tname, *drop], budget, stage)
 
 
 def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerBasis:
@@ -776,8 +783,8 @@ def intersect(gens_a: Iterable[Polynomial], gens_b: Iterable[Polynomial],
     gens_b = list(gens_b)
     ring = _resolve_ring(gens_a + gens_b, ring)
     tname = _fresh_var(ring)
-    work = PolyRing((tname,) + ring.variables, field=ring.field, order=BlockElim(1))
-    var_map = [work.index_of(v) for v in ring.variables]
+    work = PolyRing((tname,) + ring.variables, field=ring.field)
+    var_map = list(range(1, work.nvars))
     t = work.variable(tname)
     one_minus_t = work.one() - t
     moved = [t * f.map_ring(work, var_map) for f in gens_a]

@@ -28,6 +28,9 @@ from typing import Sequence
 from .exactmath.fields import RationalField
 from .exactmath.orders import GREVLEX
 from .exactmath.poly import Polynomial, PolyRing
+# count_roots, sturm_chain, eliminate and groebner_basis go unused here,
+# but stay importable from this module: perfbench/tracing.py wraps them by
+# these names
 from .exactmath.sturm import (
     count_roots,
     dense_degree,
@@ -39,8 +42,6 @@ from .exactmath.sturm import (
     sturm_chain,
     squarefree_part,
 )
-# eliminate and groebner_basis go unused here, but stay importable from
-# this module: perfbench/tracing.py wraps them by these names
 from .groebner import (
     GroebnerBasis,
     IdealSpec,
@@ -53,6 +54,11 @@ from .groebner import (
     saturate_eliminate,
 )
 from .unifactor import factor_rational
+
+
+# bracket width for the roots on the normal line; isolate_real_roots keeps
+# 0 out of every bracket's interior only for widths below 4
+NORMAL_LINE_PRECISION = Fraction(1, 10**12)
 
 
 class PointNotOnVarietyError(ValueError):
@@ -404,8 +410,7 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
                   codim: int | None = None,
                   allow_singular: bool = False,
                   slices: Sequence[Polynomial] = (),
-                  budget: int | None = None,
-                  want_components: bool = True) -> VoronoiReport:
+                  budget: int | None = None) -> VoronoiReport:
     """Compute the algebraic boundary of the nearest-point region at y.
 
     ``slices`` are extra polynomials in the u-ring (typically random affine
@@ -488,7 +493,7 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
 
     t0 = time.perf_counter()
     components = None
-    if want_components and scheme_generator is not None:
+    if scheme_generator is not None:
         components = _line_components(scheme_generator, ns, budget)
     timings["components"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
@@ -545,14 +550,15 @@ class NormalLineSection:
         return lo, hi
 
 
-def boundary_on_normal_line(report: VoronoiReport, *,
-                            precision: Fraction = Fraction(1, 10**12)) -> NormalLineSection:
+def boundary_on_normal_line(report: VoronoiReport) -> NormalLineSection:
     """Restrict the boundary to the line y + lambda * gradient (codim 1 only).
 
     This re-substitutes into the ambient-coordinate basis, independently of
     the parameterization the pipeline used, so it doubles as a consistency
-    check.  Roots of the restricted polynomial are isolated below the given
-    width; the nearest roots on each side of lambda = 0 bound the cell.
+    check.  Roots of the restricted polynomial are isolated below
+    NORMAL_LINE_PRECISION; no bracket has 0 strictly inside, so each lies
+    on one side of lambda = 0, and the nearest roots on each side bound the
+    cell.
     """
     spec = report.spec
     if len(spec.generators) != 1:
@@ -584,25 +590,13 @@ def boundary_on_normal_line(report: VoronoiReport, *,
     lead = restricted[-1]
     restricted = [c / lead for c in restricted]
 
-    brackets = [RootBracket(lo, hi) for lo, hi in
-                isolate_real_roots(restricted, precision)]
+    brackets = tuple(RootBracket(lo, hi) for lo, hi in
+                     isolate_real_roots(restricted, NORMAL_LINE_PRECISION))
     at_zero = dense_eval(restricted, Fraction(0)) == 0
-    sf = squarefree_part(restricted)
-    chain = sturm_chain(sf)
-    refined = []
-    for br in brackets:
-        lo, hi = br.lower, br.upper
-        if not at_zero and lo < 0 < hi:
-            # split the bracket so its sign is determined
-            if count_roots(chain, lo, Fraction(0)) == 1:
-                hi = Fraction(0)
-            else:
-                lo = Fraction(0)
-        refined.append(RootBracket(lo, hi))
 
     lam_lo = None
     lam_hi = None
-    for br in refined:
+    for br in brackets:
         if br.upper <= 0 and not (br.exact and br.upper == 0):
             if lam_lo is None or br.upper > lam_lo.upper:
                 lam_lo = br
@@ -616,9 +610,9 @@ def boundary_on_normal_line(report: VoronoiReport, *,
     norm = float(sum(Fraction(v) * Fraction(v) for v in grad)) ** 0.5
     if at_zero:
         reach = 0.0
-    elif refined:
-        reach = min(abs(br.midpoint()) for br in refined) * norm
+    elif brackets:
+        reach = min(abs(br.midpoint()) for br in brackets) * norm
     else:
         reach = float("inf")
-    return NormalLineSection(grad, tuple(restricted), tuple(refined),
+    return NormalLineSection(grad, tuple(restricted), brackets,
                              lam_lo, lam_hi, reach)

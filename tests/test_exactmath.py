@@ -263,6 +263,29 @@ class TestSturm:
             for (lo, hi), r in zip(brackets, roots):
                 assert lo <= r <= hi and hi - lo <= Fraction(1, 1000)
 
+    def test_no_bracket_has_zero_strictly_inside(self):
+        # every third polynomial has a root within 10^-14 of 0, where a
+        # bracket (lo, hi) with lo < 0 < hi would show first; 3 is the
+        # widest precision the postcondition covers
+        rng = random.Random(1811)
+        R = ring("u")
+        (u,) = R.gens()
+        tiny = Fraction(1, 10**15)
+        for i in range(150):
+            f = R.one()
+            for _ in range(rng.randint(1, 4)):
+                f = f * (u - Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+            if i % 3 == 0:
+                f = f * (u - rng.choice((-1, 1)) * rng.randint(1, 9) * tiny)
+            if i % 2:
+                f = f * (u * u + rng.randint(-5, 5))
+            dense = dense_from_poly(f)
+            precision = rng.choice((Fraction(3), Fraction(1, 2**20),
+                                    Fraction(1, 10**12)))
+            brackets = isolate_real_roots(dense, precision)
+            assert len(brackets) == count_real_roots(dense)
+            assert not any(lo < 0 < hi for lo, hi in brackets)
+
     def test_bracket_starting_at_a_root(self):
         # u^3 - u: the first midpoint, 0, is a root, so the bracket of the
         # root 1 starts at a root and refinement must use the chain count

@@ -1,14 +1,16 @@
-"""saturate_eliminate against block elimination, the route it replaces.
+"""saturate_eliminate against block elimination from the raw generators.
 
 Every test wraps the primitive where the pipelines call it and recomputes
 each call as (<gens> + <1 - t*g>) in a block order that puts t and the
 dropped variables first, keeping the basis members free of that block.
-The two bases must be equal, generator for generator.
+The two bases must be equal, generator for generator.  Where that oracle
+takes too long over Q, it runs over F_32003 on the images of the
+generators and is compared with the image of the rational result.
 """
 import pytest
 
 from voronoi_cells import degrees, groebner, voronoi
-from voronoi_cells.exactmath import BlockElim, PolyRing
+from voronoi_cells.exactmath import BlockElim, PolyRing, PrimeField
 from voronoi_cells.groebner import (
     BudgetExhaustedError,
     IdealSpec,
@@ -35,10 +37,15 @@ def block_oracle(gens, g, drop, ring):
     return sub, tuple(kept)
 
 
-@pytest.fixture
-def checked(monkeypatch):
+def reduce_mod(f, ring):
+    """The image of a rational polynomial in a ring over F_p."""
+    return ring.from_terms({m: ring.field.coerce(c) for m, c in f.terms.items()})
+
+
+def install_oracle(monkeypatch, field=None):
     """Check every saturate_eliminate call of the pipelines against the
-    oracle; returns the list of (result, route) per call."""
+    oracle, run over field when given; returns the list of (result,
+    route) per call."""
     calls = []
     routes = []
 
@@ -55,9 +62,16 @@ def checked(monkeypatch):
     def wrapped(gens, g, drop, ring=None, **kwargs):
         before = len(routes)
         out = saturate_eliminate(gens, g, drop, ring, **kwargs)
-        sub, want = block_oracle(gens, g, drop, ring)
-        assert out.ring == sub
-        assert out.polys == want
+        if field is None:
+            sub, want = block_oracle(gens, g, drop, ring)
+            assert out.ring == sub
+            assert out.polys == want
+        else:
+            ring_p = PolyRing(ring.variables, field=field, order=ring.order)
+            sub, want = block_oracle([reduce_mod(f, ring_p) for f in gens],
+                                     reduce_mod(g, ring_p), drop, ring_p)
+            assert out.ring.variables == sub.variables
+            assert tuple(reduce_mod(p, sub) for p in out.polys) == want
         assert len(routes) == before + 1
         calls.append((out, routes[-1]))
         return out
@@ -69,6 +83,16 @@ def checked(monkeypatch):
     monkeypatch.setattr(voronoi, "saturate_eliminate", wrapped)
     monkeypatch.setattr(degrees, "saturate_eliminate", wrapped)
     return calls
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    return install_oracle(monkeypatch)
+
+
+@pytest.fixture
+def checked_mod_p(monkeypatch):
+    return install_oracle(monkeypatch, PrimeField(32003))
 
 
 @pytest.mark.parametrize("n, d, homogeneous", [
@@ -121,6 +145,52 @@ def test_circle_falls_back_to_block_elimination(checked):
     spec = IdealSpec.from_strings(("x1", "x2"), ["x1^2 + x2^2 - 1"])
     voronoi.voronoi_ideal(spec, (1, 0))
     assert [route for _, route in checked] == [("block",), ("block",)]
+
+
+TWISTED_CUBIC = ["x2 - x1^2", "x3 - x1*x2"]
+
+
+@pytest.mark.parametrize("a", [1, -2, 3])
+@pytest.mark.parametrize("b", [1, -2, 3])
+def test_plane_family_at_the_origin(checked, a, b):
+    # the benchmark's exact-plane family: a normal plane keeps two
+    # parameters, so every saturation takes the block route
+    spec = IdealSpec.from_strings(
+        ("x1", "x2", "x3"), [f"x2 - ({a})*x1^2", f"x3 - ({b})*x1*x2"])
+    report = voronoi.voronoi_ideal(spec, (0, 0, 0))
+    assert [route for _, route in checked] == [("block",)] * 3
+    assert report.degree == 4
+
+
+def test_cusp_at_the_origin(checked):
+    # a singular point: every direction counts as normal
+    spec = IdealSpec.from_strings(("x1", "x2"), ["x1^3 - x2^2"])
+    report = voronoi.voronoi_ideal(spec, (0, 0), allow_singular=True)
+    assert [route for _, route in checked] == [("block",)] * 2
+    assert report.degree == 4
+
+
+@pytest.mark.parametrize("point", [(1, 1, 1), ("1/2", "1/4", "1/8")])
+def test_twisted_cubic_off_the_origin(checked_mod_p, point):
+    # over Q, block elimination from the raw generators takes from 20 s to
+    # minutes per point, so the oracle runs mod p
+    spec = IdealSpec.from_strings(("x1", "x2", "x3"), TWISTED_CUBIC)
+    report = voronoi.voronoi_ideal(spec, point)
+    assert [route for _, route in checked_mod_p] == [("block",)] * 3
+    assert report.degree == 4
+
+
+def test_twisted_cubic_degree_matches_mod_p():
+    spec = IdealSpec.from_strings(("x1", "x2", "x3"), TWISTED_CUBIC)
+    exact = voronoi.voronoi_ideal(spec, (1, 1, 1))
+    modp = degrees.voronoi_degree_modp(
+        IdealSpec.from_strings(("x1", "x2", "x3"), TWISTED_CUBIC,
+                               field="Fp:32003", codim=2),
+        (1, 1, 1), seed=0)
+    assert modp.stable
+    assert exact.degree == modp.degree == 4
+    assert len(exact.parametric.polys) == 1
+    assert [p.total_degree() for p in exact.boundary.polys] == [4, 1]
 
 
 def test_cusp_budget_exhausts_during_saturation():

@@ -16,6 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ALLOWED = {
     ("voronoi_cells/voronoi.py", "eliminate"),
     ("voronoi_cells/voronoi.py", "groebner_basis"),
+    ("voronoi_cells/voronoi.py", "count_roots"),
+    ("voronoi_cells/voronoi.py", "sturm_chain"),
     ("voronoi_cells/degrees.py", "eliminate"),
 }
 
