@@ -3,11 +3,21 @@
 The engine packs exponent vectors into a single integer, 24 bits per
 variable, so monomial multiplication is integer addition and divisibility
 is one masked subtraction (each variable keeps a guard bit that a borrow
-would clear).  Reduction runs a max-heap over the pending monomials of the
-working polynomial; stale heap entries are skipped when their coefficient
-has already cancelled.
+would clear); the same guard bits select the larger exponent of each
+variable, so an lcm costs a constant number of integer operations.
 
-Over F_p basis members are monic and reduction works mod p.  Over Q the
+One reduction kernel serves both fields.  It runs a max-heap over the
+pending monomials of the working polynomial.  A pending coefficient is
+reduced mod p only when its term is popped; a term that cancels stays
+pending as a zero and is skipped then.  The reducer of a monomial is the
+first live basis member whose leading term divides it, and each engine
+remembers it: members are only ever appended or retired, so a remembered
+live reducer still holds and a remembered miss resumes its scan where it
+stopped.  The final interreduction puts the kept members into one engine in
+ascending order and reduces each tail there, writing it back; a tail term
+lies below its own leading term, so only the other members divide it.
+
+Over F_p basis members are monic, so the kernel never scales.  Over Q the
 engine reduces fraction-free: basis members are primitive integer
 polynomials with a positive leading coefficient, and when a reducer's
 leading coefficient a does not divide the coefficient c it cancels, the
@@ -151,8 +161,11 @@ class _Engine:
         self.stage = stage
         self.steps = steps  # steps already spent against the same budget
         self.guard = sum(1 << (_W * i + _W - 1) for i in range(self.n))
-        self._keya: dict = {}
+        self._keyd: dict = {}  # descending sort keys, shared by sub-engines
         self._key_fn = _packed_key_asc(ring.order, self.n)
+        # monomial -> first live reducer index, or ~k after a miss over the
+        # first k members (see find_reducer)
+        self._reducers: dict = {}
         # short divisibility masks: bit set when a variable exponent reaches
         # a power-of-two threshold, so most non-divisors fail one int test
         self._mask_bits = max(1, min(6, 62 // max(self.n, 1)))
@@ -179,15 +192,15 @@ class _Engine:
     def decode(self, enc: int):
         return tuple((enc >> (_W * i)) & _FIELD_MASK for i in range(self.n))
 
-    def keya(self, enc: int) -> int:
-        k = self._keya.get(enc)
+    def keyd(self, enc: int) -> int:
+        k = self._keyd.get(enc)
         if k is None:
-            k = self._key_fn(enc)
-            self._keya[enc] = k
+            k = -self._key_fn(enc)
+            self._keyd[enc] = k
         return k
 
-    def keyd(self, enc: int) -> int:
-        return -self.keya(enc)
+    def keya(self, enc: int) -> int:
+        return -self.keyd(enc)
 
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
@@ -209,13 +222,12 @@ class _Engine:
         return m
 
     def lcm(self, a: int, b: int) -> int:
-        out = 0
-        for i in range(self.n):
-            shift = _W * i
-            ea = (a >> shift) & _FIELD_MASK
-            eb = (b >> shift) & _FIELD_MASK
-            out |= max(ea, eb) << shift
-        return out
+        """Per-variable maximum: the guard bit of a variable survives
+        (a | guard) - b exactly where a's exponent is at least b's, and
+        spreads into a mask that selects a's field there and b's elsewhere."""
+        guard = self.guard
+        m = ((((a | guard) - b) & guard) >> (_W - 1)) * _FIELD_MASK
+        return (a & m) | (b & ~m)
 
     def poly_to_dict(self, f: Polynomial) -> tuple[dict, int]:
         """Encoded term dict of den * f, and den: over Q den is the lcm of
@@ -238,7 +250,7 @@ class _Engine:
     def add_basis_poly(self, d: dict):
         """Insert a polynomial given as an encoded term dict: monic over
         F_p, with integer coefficients over Q."""
-        items = sorted(d.items(), key=lambda t: self.keyd(t[0]))
+        items = [(e, d[e]) for e in sorted(d, key=self.keyd)]
         lt, lc = items[0]
         self.blt.append(lt)
         self.blc.append(lc)
@@ -251,93 +263,66 @@ class _Engine:
         if self.steps > self.budget:
             raise BudgetExhaustedError(self.stage, self.budget)
 
-    # -- reduction kernels ----------------------------------------------------
+    # -- reduction kernel ---------------------------------------------------
+    def find_reducer(self, e: int) -> int:
+        """Index of the first live member whose leading term divides e, or
+        -1.  Members are only ever appended or retired, so a remembered live
+        answer still holds, a retired one resumes the scan just after it,
+        and a miss over the first k members resumes at k."""
+        r = self._reducers.get(e, -1)
+        alive = self.alive
+        if r >= 0:
+            if alive[r]:
+                return r
+            start = r + 1
+        else:
+            start = ~r
+        blt = self.blt
+        bmask = self.bmask
+        guard = self.guard
+        eg = e | guard
+        not_em = ~self.mask(e)
+        nbasis = len(blt)
+        for i in range(start, nbasis):
+            if alive[i] and not (bmask[i] & not_em) \
+                    and (eg - blt[i]) & guard == guard:
+                self._reducers[e] = i
+                return i
+        self._reducers[e] = ~nbasis
+        return -1
+
     def reduce_full(self, fdict: dict) -> tuple[dict, int | Fraction]:
         """Full reduction of an encoded term dict: (R, scale), where
         R / scale is the remainder of the dict.  Over F_p scale is 1; over
         Q the dict holds integers, R is primitive and scale a Fraction."""
-        if self.modp:
-            return self._reduce_modp(fdict), 1
-        return self._reduce_q(fdict)
-
-    def _reduce_modp(self, fdict: dict) -> dict:
         p = self.p
         coeff = dict(fdict)
-        heap = [(self.keyd(e), e) for e in coeff]
-        heapq.heapify(heap)
-        out: dict = {}
-        blt = self.blt
-        btail = self.btail
-        bmask = self.bmask
-        alive = self.alive
-        guard = self.guard
         keyd = self.keyd
-        mask = self.mask
-        push = heapq.heappush
-        pop = heapq.heappop
-        nbasis = len(blt)
-        while heap:
-            _, e = pop(heap)
-            c = coeff.pop(e, None)
-            if c is None:
-                continue
-            eg = e | guard
-            not_em = ~mask(e)
-            idx = -1
-            for i in range(nbasis):
-                if alive[i] and not (bmask[i] & not_em) \
-                        and (eg - blt[i]) & guard == guard:
-                    idx = i
-                    break
-            if idx < 0:
-                out[e] = c
-                continue
-            self.tick()
-            shift = e - blt[idx]
-            for me, gc in btail[idx]:
-                te = me + shift
-                old = coeff.get(te)
-                if old is None:
-                    nv = (-c * gc) % p
-                    if nv:
-                        coeff[te] = nv
-                        push(heap, (keyd(te), te))
-                elif (nv := (old - c * gc) % p):
-                    coeff[te] = nv
-                else:
-                    del coeff[te]
-        return out
-
-    def _reduce_q(self, fdict: dict) -> tuple[dict, Fraction]:
-        coeff = dict(fdict)
-        heap = [(self.keyd(e), e) for e in coeff]
+        heap = [(keyd(e), e) for e in coeff]
         heapq.heapify(heap)
         out: dict = {}
         scale = 1  # product of the factors the working polynomial took
         blt = self.blt
         blc = self.blc
         btail = self.btail
-        bmask = self.bmask
+        reducers = self._reducers
         alive = self.alive
-        guard = self.guard
-        keyd = self.keyd
-        mask = self.mask
+        find = self.find_reducer
         push = heapq.heappush
         pop = heapq.heappop
-        nbasis = len(blt)
         while heap:
-            _, e = pop(heap)
-            c = coeff.pop(e, None)
-            if c is None:
+            e = pop(heap)[1]
+            # a pending coefficient is reduced mod p only here; a term that
+            # cancelled stays pending as a zero
+            c = coeff.pop(e)
+            if p:
+                c %= p
+            if not c:
                 continue
-            eg = e | guard
-            not_em = ~mask(e)
-            idx = -1
-            for i in range(nbasis):
-                if alive[i] and not (bmask[i] & not_em) \
-                        and (eg - blt[i]) & guard == guard:
-                    idx = i
-                    break
+            # a remembered live reducer, else the scan of find_reducer
+            idx = reducers.get(e, -1)
+            if idx < 0 or not alive[idx]:
+                idx = find(e)
             if idx < 0:
                 out[e] = c
                 continue
@@ -360,10 +345,10 @@ class _Engine:
                 if old is None:
                     coeff[te] = -q * gc
                     push(heap, (keyd(te), te))
-                elif (nv := old - q * gc):
-                    coeff[te] = nv
                 else:
-                    del coeff[te]
+                    coeff[te] = old - q * gc
+        if p:
+            return out, 1
         if not out:
             return out, Fraction(1)
         content = gcd(*out.values())
@@ -495,13 +480,20 @@ def _gm_update(eng: _Engine, pairs: list, d: dict):
     the S-pairs the standard criteria cannot discard."""
     m = len(eng.blt)
     eng.add_basis_poly(d)
-    ltm = eng.blt[m]
+    blt = eng.blt
+    alive = eng.alive
+    guard = eng.guard
+    lcm = eng.lcm
+    ltm = blt[m]
 
-    cand = [(eng.lcm(eng.blt[i], ltm), i) for i in range(m) if eng.alive[i]]
+    # divisibility inlined: a divides b when (b | guard) - a borrows no
+    # guard bit
+    cand = [(lcm(blt[i], ltm), i) for i in range(m) if alive[i]]
     # drop a candidate when another new pair's lcm properly divides its lcm
     kept = []
     for l1, i1 in cand:
-        if not any(l2 != l1 and eng.divides(l2, l1) for l2, _ in cand):
+        g1 = l1 | guard
+        if not any(l2 != l1 and (g1 - l2) & guard == guard for l2, _ in cand):
             kept.append((l1, i1))
     # one pair per lcm value, or none when that lcm admits a coprime pair
     by_lcm: dict[int, list[int]] = {}
@@ -509,7 +501,7 @@ def _gm_update(eng: _Engine, pairs: list, d: dict):
         by_lcm.setdefault(l, []).append(i)
     new_pairs = []
     for l, idxs in by_lcm.items():
-        if any(l == eng.blt[i] + ltm for i in idxs):
+        if any(l == blt[i] + ltm for i in idxs):
             continue
         new_pairs.append((l, min(idxs)))
 
@@ -517,9 +509,9 @@ def _gm_update(eng: _Engine, pairs: list, d: dict):
     if pairs:
         survivors = [
             entry for entry in pairs
-            if not (eng.divides(ltm, entry[1])
-                    and eng.lcm(eng.blt[entry[2]], ltm) != entry[1]
-                    and eng.lcm(eng.blt[entry[3]], ltm) != entry[1])
+            if not (((entry[1] | guard) - ltm) & guard == guard
+                    and lcm(blt[entry[2]], ltm) != entry[1]
+                    and lcm(blt[entry[3]], ltm) != entry[1])
         ]
         if len(survivors) != len(pairs):
             pairs[:] = survivors
@@ -527,8 +519,8 @@ def _gm_update(eng: _Engine, pairs: list, d: dict):
 
     # retire members whose leading term the newcomer strictly divides
     for i in range(m):
-        if eng.alive[i] and eng.divides(ltm, eng.blt[i]):
-            eng.alive[i] = False
+        if alive[i] and ((blt[i] | guard) - ltm) & guard == guard:
+            alive[i] = False
 
     for l, i in new_pairs:
         heapq.heappush(pairs, (eng.keya(l), l, i, m))
@@ -544,26 +536,28 @@ def _finalize(eng: _Engine) -> GroebnerBasis:
             continue
         kept.append(idx)
 
-    # interreduce: fully reduce each member against the others
-    polys: dict[int, dict] = {}
+    # interreduce in one engine that holds the kept members in ascending
+    # order, reducing each tail and writing it back.  A tail term lies below
+    # its own leading term, so only the other members can divide it: the
+    # reducers are those of reducing each member against all the others.
+    red = _Engine(eng.ring, eng.budget, eng.stage, eng.steps)
+    red._keyd = eng._keyd
     for idx in kept:
-        d = {eng.blt[idx]: eng.blc[idx]}
-        d.update(dict(eng.btail[idx]))
-        polys[idx] = d
-    for idx in kept:
-        sub = _Engine(eng.ring, eng.budget, eng.stage, eng.steps)
-        sub._keya = eng._keya
-        for other in kept:
-            if other != idx:
-                sub.add_basis_poly(polys[other])
-        reduced, _ = sub.reduce_full(polys[idx])
-        eng.steps = sub.steps
-        polys[idx] = sub.normalize(reduced)
-
-    # no other kept leading term divides blt[idx], so reduction keeps it
-    kept.sort(key=lambda idx: eng.keyd(eng.blt[idx]))
+        red.add_basis_poly({eng.blt[idx]: eng.blc[idx],
+                            **dict(eng.btail[idx])})
+    members = []
+    for k, lt in enumerate(red.blt):
+        rem, scale = red.reduce_full(dict(red.btail[k]))
+        # the member is lc * lt + rem / scale
+        d = red.normalize({lt: red.blc[k] * scale.numerator,
+                           **{e: c * scale.denominator for e, c in rem.items()}})
+        red.blc[k] = d[lt]
+        red.btail[k] = list(d.items())[1:]
+        members.append(d)
+    eng.steps = red.steps
     return GroebnerBasis(eng.ring, tuple(
-        eng.dict_to_poly(polys[idx], polys[idx][eng.blt[idx]]) for idx in kept))
+        red.dict_to_poly(d, d[lt])
+        for lt, d in zip(reversed(red.blt), reversed(members))))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis, *, budget: int | None = None) -> Polynomial:
@@ -719,47 +713,67 @@ def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerB
     the first one that reduces to zero gives the dependence.  The kernel
     reduces s * R(i-1) for the remainder R(i-1) = lam(i-1) * NF(s^(i-1)) it
     returned last, so lam(i) = mu(i) * lam(i-1) with mu(i) the scale of the
-    new reduction (all 1 over F_p).
+    new reduction (all 1 over F_p).  Over F_p the echelon rows are scaled
+    to pivot 1.  Over Q it runs fraction-free on the integer remainders:
+    a row R with pivot entry P clears the pivot of v as P * v - v[pivot] * R,
+    and a new row is divided by the joint content of its vector and its
+    combination of remainders.  The dependence sum_i c(i) * R(i) = 0 then gives the coefficients
+    c(i) * lam(i), made monic.
     """
     field = eng.field
-    zero, one = field.zero, field.one
-    mul, sub = field.mul, field.sub
     nf_eng = _Engine(gb.ring, eng.budget, eng.stage, eng.steps)
-    nf_eng._keya = eng._keya
-    for p in gb.polys:
-        nf_eng.add_basis_poly(nf_eng.poly_to_dict(p)[0])
+    nf_eng._keyd = eng._keyd
+    for g in gb.polys:
+        nf_eng.add_basis_poly(nf_eng.poly_to_dict(g)[0])
     shift = 1 << (_W * gb.ring.index_of(name))
+    p = nf_eng.p
 
-    def axpy(y: dict, a, x: dict):
-        # y -= a * x, in place
+    def axpy(y: dict, a: int, x: dict, b: int):
+        # y <- b * y - a * x in place, mod p over F_p (where b is 1)
+        if b != 1:
+            for e in y:
+                y[e] *= b
         for e, c in x.items():
-            v = sub(y.get(e, zero), mul(a, c))
-            if v == zero:
-                y.pop(e, None)
-            else:
+            v = y.get(e, 0) - a * c
+            if p:
+                v %= p
+            if v:
                 y[e] = v
+            else:
+                y.pop(e, None)
 
-    rows: list = []  # (pivot, normalized vector, its combination of powers)
+    rows: list = []  # (pivot, vector, its combination of remainders)
+    lams: list = []  # R(i) = lams[i] * NF(s^i)
     rem, lam = nf_eng.reduce_full({0: 1})
-    power = 0
     while True:
-        vec = dict(rem) if nf_eng.modp else {e: c / lam for e, c in rem.items()}
-        combo = {power: one}
+        vec = dict(rem)
+        combo = {len(lams): 1}
+        lams.append(lam)
         for pivot, row, row_combo in rows:
             c = vec.get(pivot)
             if c is not None:
-                axpy(vec, c, row)
-                axpy(combo, c, row_combo)
+                lead = row[pivot]
+                axpy(vec, c, row, lead)
+                axpy(combo, c, row_combo, lead)
         if not vec:
             break
         pivot = min(vec, key=nf_eng.keyd)
-        inv = field.inv(vec[pivot])
-        rows.append((pivot,
-                     {e: mul(inv, c) for e, c in vec.items()},
-                     {m: mul(inv, c) for m, c in combo.items()}))
+        if p:
+            inv = field.inv(vec[pivot])
+            vec = {e: inv * c % p for e, c in vec.items()}
+            combo = {m: inv * c % p for m, c in combo.items()}
+        else:
+            content = gcd(*vec.values(), *combo.values())
+            if content != 1:
+                vec = {e: v // content for e, v in vec.items()}
+                combo = {m: v // content for m, v in combo.items()}
+        rows.append((pivot, vec, combo))
         rem, mu = nf_eng.reduce_full({e + shift: c for e, c in rem.items()})
         lam *= mu
-        power += 1
+    if not p:
+        # the newest remainder's coefficient is never cleared
+        top = combo[len(lams) - 1] * lams[-1]
+        combo = {m: c * lams[m] / top for m, c in combo.items()}
     sub_ring = PolyRing((name,), field=field, order=GREVLEX)
     return GroebnerBasis(sub_ring, (sub_ring.from_terms(
         {(m,): c for m, c in combo.items()}),))

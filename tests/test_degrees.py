@@ -17,7 +17,7 @@ from voronoi_cells.degrees import (
     random_hypersurface,
     voronoi_degree_modp,
 )
-from voronoi_cells.groebner import IdealSpec
+from voronoi_cells.groebner import BudgetExhaustedError, IdealSpec
 from voronoi_cells.voronoi import (
     SingularPointError,
     normal_space_at,
@@ -205,6 +205,18 @@ class TestExperiments:
         assert exp.point == y == (16904, 21689)
         assert exp.spec == spec
         assert exp.degree == 2 and exp.stable
+
+    @pytest.mark.parametrize("n, d, enough", [(2, 3, 432), (2, 4, 1301)])
+    def test_modp_step_ledger(self, n, d, enough):
+        # the first replica's saturation over F_32003 spends exactly
+        # enough - 1 reduction steps before it needs one more; a kernel
+        # that picks another reducer or S-pair moves this boundary
+        with pytest.raises(BudgetExhaustedError) as err:
+            hypersurface_degree_experiment(n, d, seed=0, budget=enough - 1)
+        assert err.value.stage == "saturation"
+        assert err.value.budget == enough - 1
+        exp = hypersurface_degree_experiment(n, d, seed=0, budget=enough)
+        assert exp.degree == conjecture_hypersurface(n, d)
 
     def test_rejects_rational_field(self):
         spec = IdealSpec.from_strings(("x1", "x2"), ["x2 - x1^2"])

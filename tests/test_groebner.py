@@ -10,6 +10,7 @@ from voronoi_cells.groebner import (
     GroebnerBasis,
     IdealSpec,
     NotZeroDimensionalError,
+    _Engine,
     eliminate,
     groebner_basis,
     interreduce,
@@ -114,6 +115,51 @@ class TestBuchberger:
         f = parse_polynomial("x^3*y + x - 1", ring)
         g = f + gens[0] * parse_polynomial("y^5 - x", ring)
         assert normal_form(f, gb) == normal_form(g, gb)
+
+
+class TestKernelShortcuts:
+    def test_find_reducer_matches_a_first_live_divisor_scan(self):
+        # members are only appended or retired; after every change the
+        # remembered lookup must agree with a scan from the first member
+        rng = random.Random(3)
+        ring = PolyRing(("x", "y", "z"), field=PrimeField(32003))
+
+        def monomial():
+            return tuple(rng.randrange(4) for _ in range(3))
+
+        for _ in range(30):
+            eng = _Engine(ring, None, "test")
+            leads = []
+            probes = [monomial() for _ in range(25)] + [(0, 0, 0)]
+            for _ in range(40):
+                if leads and rng.random() < 0.3:
+                    eng.alive[rng.randrange(len(leads))] = False
+                else:
+                    lead = monomial()
+                    leads.append(lead)
+                    eng.add_basis_poly({eng.encode(lead): 1})
+                for probe in rng.sample(probes, 8):
+                    want = next((i for i, lead in enumerate(leads)
+                                 if eng.alive[i]
+                                 and all(a <= b for a, b in zip(lead, probe))),
+                                -1)
+                    assert eng.find_reducer(eng.encode(probe)) == want
+
+    def test_packed_lcm_is_the_per_variable_maximum(self):
+        top = (1 << 23) - 1  # the largest exponent a packed field holds
+        ring = PolyRing(("x", "y", "z"))
+        eng = _Engine(ring, None, "test")
+        corners = [(a, b, c) for a in (0, 1, top - 1, top)
+                   for b in (0, 1, top - 1, top) for c in (0, 1, top - 1, top)]
+        rng = random.Random(5)
+        pairs = [(u, v) for u in corners for v in corners]
+        pairs += [(tuple(rng.choice((0, top, rng.randrange(top + 1)))
+                         for _ in range(3)),
+                   tuple(rng.choice((0, top, rng.randrange(top + 1)))
+                         for _ in range(3))) for _ in range(2000)]
+        for u, v in pairs:
+            got = eng.decode(eng.lcm(eng.encode(u), eng.encode(v)))
+            assert got == tuple(map(max, u, v))
 
 
 class TestIdealOperations:

@@ -4,10 +4,11 @@ Reduced Groebner bases are unique, so the engine and sympy must return the
 same set of monic polynomials, over Q and over GF(32003).  Elimination is
 checked against sympy's lex basis: its members free of the dropped
 variables generate the elimination ideal, which sympy then re-bases in
-grevlex on the kept variables.  Normal forms over Q are checked against
-the remainder of sympy.reduced by the reduced basis, which is unique too.
-Coefficients are rationals with denominators up to 7, so the engine's
-fraction-free scaling is exercised on every input.
+grevlex on the kept variables.  Saturation (I : g^infinity) is checked the
+same way, as the elimination of t from I + <1 - t*g>.  Normal forms over Q
+are checked against the remainder of sympy.reduced by the reduced basis,
+which is unique too.  Coefficients are rationals with denominators up to
+7, so the engine's fraction-free scaling is exercised on every input.
 """
 from fractions import Fraction
 from itertools import product
@@ -25,6 +26,7 @@ from voronoi_cells.groebner import (  # noqa: E402
     eliminate,
     groebner_basis,
     normal_form,
+    saturate,
 )
 
 P = 32003
@@ -82,6 +84,16 @@ def _sympy_groebner(polys, symbols, field_name, order):
     return sympy.groebner(polys, *symbols, order=order, domain="QQ")
 
 
+def _sympy_free_of(polys, dropped, kept_symbols, field_name):
+    """The grevlex basis, on the kept symbols, of the members of a lex
+    basis free of the dropped symbols: they generate its elimination ideal."""
+    free = [p for p in polys if not (p.free_symbols & dropped)]
+    if not free:
+        return set()
+    return _theirs(_sympy_groebner(free, kept_symbols, field_name, "grevlex"),
+                   field_name)
+
+
 def _poly(ring, terms):
     return ring.from_terms({e: ring.field.coerce(c) for e, c in terms.items()})
 
@@ -134,14 +146,33 @@ def test_eliminate_matches_sympy(field_name, system, data):
     lex_vars = [by_name[v] for v in drop] + [by_name[v] for v in kept]
     lex = _sympy_groebner(theirs, lex_vars, field_name, "lex")
     dropped = {by_name[v] for v in drop}
-    free = [p for p in lex.exprs if not (p.free_symbols & dropped)]
     kept_symbols = [by_name[v] for v in kept]
-    if free:
-        reference = _theirs(_sympy_groebner(free, kept_symbols, field_name,
-                                            "grevlex"), field_name)
-    else:
-        reference = set()
-    assert _ours(gb, field_name) == reference
+    assert _ours(gb, field_name) == _sympy_free_of(lex.exprs, dropped,
+                                                   kept_symbols, field_name)
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@CHECKS
+@given(system=systems(), data=st.data())
+def test_saturate_matches_sympy(field_name, system, data):
+    names, gens = system
+    g_terms = data.draw(_term_map(len(names)))
+    ours, symbols, theirs = _inputs(names, gens, field_name)
+    g = _poly(ours[0].ring, g_terms)
+    g_expr = _expr(g_terms, symbols, field_name)
+    # a factor g in the first generator gives the saturation work to do
+    ours[0] = ours[0] * g
+    theirs[0] = theirs[0] * g_expr
+    gb = saturate(ours, [g], budget=BUDGET)
+    assert gb.ring == ours[0].ring
+
+    # the lex basis of I + <1 - t*g> with t first; its members free of t
+    # generate the saturation
+    t = sympy.Symbol("t")
+    lex = _sympy_groebner(theirs + [1 - t * g_expr], [t, *symbols],
+                          field_name, "lex")
+    assert _ours(gb, field_name) == _sympy_free_of(lex.exprs, {t},
+                                                   list(symbols), field_name)
 
 
 @CHECKS
