@@ -14,6 +14,7 @@ membership verdict, 4 inconclusive or boundary.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -197,16 +198,10 @@ def _json_float(value: float):
     return value if math.isfinite(value) else ("inf" if value > 0 else "-inf")
 
 
-def emit_json(body: dict, output: str | None) -> None:
-    blob = json.dumps(body, sort_keys=True, indent=2) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-    else:
-        sys.stdout.write(blob)
-
-
-def _emit_text(blob: str, output: str | None) -> None:
+def emit(report: dict | str, output: str | None) -> None:
+    """Write a report to the named file or stdout: a dict as JSON, text as is."""
+    blob = (report if isinstance(report, str)
+            else json.dumps(report, sort_keys=True, indent=2) + "\n")
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(blob)
@@ -295,7 +290,7 @@ def cmd_voronoi(args) -> int:
     if args.timings:
         body["timings"] = {k: round(v, 6)
                            for k, v in report.timings.items()}
-    emit_json(body, args.output)
+    emit(body, args.output)
     return EXIT_OK
 
 
@@ -338,7 +333,7 @@ def cmd_degree(args) -> int:
     if args.formula:
         body["conjecture"] = conjecture_hypersurface(
             args.n, args.d, args.homogeneous)
-    emit_json(body, args.output)
+    emit(body, args.output)
     return EXIT_OK
 
 
@@ -393,7 +388,7 @@ def cmd_formula(args) -> int:
         "params": params,
         "value": value,
     }
-    emit_json(body, args.output)
+    emit(body, args.output)
     return EXIT_OK
 
 
@@ -423,7 +418,7 @@ def cmd_lowrank(args) -> int:
         "status": status,
     }
     body.update(body_extra)
-    emit_json(body, args.output)
+    emit(body, args.output)
     if status == "inside":
         return EXIT_OK
     if status == "outside":
@@ -463,7 +458,7 @@ def cmd_sdp_member(args) -> int:
         "margin": _json_float(float(result.margin)),
         "iterations": result.iterations,
     }
-    emit_json(body, args.output)
+    emit(body, args.output)
     if result.status == "member":
         return EXIT_OK
     if result.status == "non-member":
@@ -563,14 +558,16 @@ def cmd_contour(args) -> int:
     lines = ["u_a,u_b,sign"]
     lines.extend(f"{a},{b},{sign}"
                  for a, b, sign in _sign_grid_rows(poly, window, rows, cols))
-    _emit_text("\n".join(lines) + "\n", args.output)
+    emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser wiring
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the process."""
     parser = _Parser(prog="voronoi-cells",
                      description="Voronoi cells of algebraic varieties: "
                                  "exact boundaries, degrees, membership.")
@@ -668,24 +665,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BudgetExhaustedError as exc:
         print(f"error: budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (OSError, ValueError, OverflowError) as exc:
+    except (_UsageError, InputError, OSError, ValueError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

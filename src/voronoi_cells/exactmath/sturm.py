@@ -1,23 +1,27 @@
 """Real-root counting and isolation for univariate rational polynomials.
 
 Polynomials here are dense coefficient lists ``[c0, c1, ..., cd]`` over
-``Fraction`` (low degree first).  Counting uses Sturm chains on half-open
+``Fraction`` (low degree first).  One Euclid run of f against f' is the
+single source of the squarefree work: divided by the monic gcd(f, f'), its
+members are a Sturm sequence of the squarefree part, the first member is
+that squarefree part, and the first two start Yun's squarefree
+decomposition in ``unifactor``.  Counting uses the chain on half-open
 intervals ``(a, b]``; isolation bisects inside a Cauchy bound and refines
 each bracket below a requested width.  A root hit exactly by an endpoint is
 reported as a degenerate bracket ``(r, r)``.
 
 Signs come from integer evaluation: each chain member is scaled once to
-integer coefficients (a positive multiple, so its signs are unchanged),
-and its sign at x = a/b is the sign of b^d * P(a/b), computed in integers.
-Inside a single-root bracket refinement bisects on the sign of the
-squarefree polynomial alone, which changes sign at each of its simple
-roots; only a bracket whose lower end is itself a root falls back to the
-chain count.
+integer coefficients with content 1 (a positive multiple, so its signs are
+unchanged), and its sign at x = a/b is the sign of b^d * P(a/b), computed
+in integers.  Inside a single-root bracket refinement bisects on the sign
+of the squarefree polynomial alone, which changes sign at each of its
+simple roots; only a bracket whose lower end is itself a root falls back to
+the chain count.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .poly import Polynomial
@@ -43,10 +47,6 @@ def dense_trim(coeffs: Sequence[Fraction]) -> list[Fraction]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def dense_degree(coeffs: Sequence[Fraction]) -> int:
-    return len(dense_trim(coeffs)) - 1
 
 
 def dense_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -91,19 +91,25 @@ def dense_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 
 def squarefree_part(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    coeffs = dense_trim(coeffs)
-    if len(coeffs) <= 1:
-        return coeffs
-    g = dense_gcd(coeffs, dense_derivative(coeffs))
-    if len(g) == 1:
-        return coeffs
-    quot, _ = dense_divmod(coeffs, g)
-    return dense_trim(quot)
+    """f / gcd(f, f') with the gcd made monic; the head of the Sturm chain."""
+    f = dense_trim(coeffs)
+    return sturm_chain(f, 1)[0] if len(f) > 1 else f
 
 
-def sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Sturm chain of the squarefree part; first entry has the original roots."""
-    f = squarefree_part(coeffs)
+def sturm_chain(coeffs: Sequence[Fraction],
+                members: int | None = None) -> list[list[Fraction]]:
+    """Sturm sequence of the squarefree part; first entry has the original roots.
+
+    One Euclid run of f against f' gives f, f' and the negated remainders,
+    the last of them gcd(f, f') up to a scalar.  When the gcd is constant
+    that is the chain.  Otherwise every member is divided by the monic gcd:
+    consecutive quotients are coprime and the last is constant, so they
+    form a Sturm sequence of the squarefree part f / gcd (Yun 1976) and
+    count its distinct roots on every half-open interval.  ``members``
+    keeps only the head of the chain: one member is the squarefree part,
+    two are the first step of Yun's squarefree decomposition.
+    """
+    f = dense_trim(coeffs)
     if len(f) <= 1:
         return [f] if f else []
     chain = [f, dense_trim(dense_derivative(f))]
@@ -112,15 +118,21 @@ def sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
         if not r:
             break
         chain.append([-c for c in r])
-    if chain[-1] == []:
-        chain.pop()
-    return chain
+    g = chain[-1]
+    chain = chain[:members]
+    if len(g) == 1:
+        return chain
+    lead = g[-1]
+    g = [c / lead for c in g]
+    return [dense_trim(dense_divmod(p, g)[0]) for p in chain]
 
 
 def _integer_form(coeffs: Sequence[Fraction]) -> list[int]:
-    """The coefficients times the lcm of their denominators."""
+    """The positive multiple with integer coefficients and content 1."""
     den = lcm(*(Fraction(c).denominator for c in coeffs))
-    return [int(c * den) for c in coeffs]
+    ints = [int(c * den) for c in coeffs]
+    content = gcd(*ints)
+    return [v // content for v in ints] if content > 1 else ints
 
 
 def _sign_at(form: Sequence[int], x: Fraction) -> int:
@@ -199,7 +211,7 @@ def isolate_real_roots(coeffs: Sequence[Fraction], precision: Fraction = Fractio
             stack.append((lo, mid, left))
         if right:
             stack.append((mid, hi, right))
-    found.sort(key=lambda br: br[0])
+    found.sort()
     return found
 
 

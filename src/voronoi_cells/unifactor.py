@@ -1,8 +1,11 @@
 """Factoring univariate rational polynomials without integer factorization.
 
-Rational roots are recovered by isolating each real root tightly enough
-that the interval can contain at most one fraction with denominator up to
-the leading coefficient of the primitive integer form, then proposing the
+Yun's algorithm splits the input into squarefree factors; its first step,
+f and f' over gcd(f, f'), is the head of the Sturm chain that
+``exactmath.sturm`` builds from the same Euclid run.  Rational roots of
+each factor are recovered by isolating each real root tightly enough that
+the interval can contain at most one fraction with denominator up to the
+leading coefficient of the primitive integer form, then proposing the
 simplest fraction in the interval (Stern-Brocot descent) and verifying it
 exactly.  What remains after deflation is certified irreducible either by
 degree arguments or by irreducibility modulo a prime; otherwise it is
@@ -12,14 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .exactmath.sturm import (
+    _integer_form,
+    dense_derivative,
     dense_divmod,
     dense_eval,
+    dense_gcd,
     dense_trim,
     isolate_real_roots,
+    sturm_chain,
 )
 
 _WITNESS_PRIMES = (10007, 10009, 31337, 65537, 94693)
@@ -44,21 +50,8 @@ class Factor:
 
 def primitive_integer_form(coeffs: Sequence[Fraction]) -> list[int]:
     """Integer coefficients with content 1 and positive leading coefficient."""
-    coeffs = dense_trim(coeffs)
-    if not coeffs:
-        return []
-    lcm = 1
-    for c in coeffs:
-        d = Fraction(c).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
+    ints = _integer_form(dense_trim(coeffs))
+    return [-v for v in ints] if ints and ints[-1] < 0 else ints
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -203,25 +196,24 @@ def exact_rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         if lo == hi:
             roots.append(lo)
             continue
+        # the bracket's root lies in (lo, hi]; lo itself may be the root of
+        # the bracket below
         cand = simplest_between(lo, hi)
-        if cand.denominator <= lead and dense_eval(fracs, cand) == 0:
+        if (cand != lo and cand.denominator <= lead
+                and dense_eval(fracs, cand) == 0):
             roots.append(cand)
     return roots
 
 
 def squarefree_decomposition(coeffs: Sequence[Fraction]):
     """Yield (squarefree factor, multiplicity) with multiplicities ascending."""
-    from .exactmath.sturm import dense_derivative, dense_gcd
-
     f = dense_trim(coeffs)
     if len(f) <= 1:
         return []
     out = []
-    # Yun's algorithm
-    df = dense_derivative(f)
-    a = dense_gcd(f, df)
-    b, _ = dense_divmod(f, a)
-    c, _ = dense_divmod(df, a)
+    # Yun's algorithm; its first step, f and f' over gcd(f, f'), is the head
+    # of the Sturm chain
+    b, c = sturm_chain(f, 2)
     d = [ci - cj for ci, cj in _pad(c, dense_derivative(b))]
     i = 1
     while len(b) > 1:

@@ -13,27 +13,28 @@ defining ideal of that hypersurface exactly:
    ideal of critical displacement points;
 4. remove the trivial solution x = y by saturation and eliminate x.
 
-Internally the linear equations from step 2 are solved once and the whole
-computation runs in the coordinates of the normal space (one parameter per
-free coordinate), which keeps the elimination rings small; the result maps
-back to the ambient coordinates afterwards.
+Internally the linear equations of step 2 are read off the kernel of the
+Jacobian at y (the same space the specialized minors cut out) and solved
+once, and the whole computation runs in the coordinates of the normal space
+(one parameter per free coordinate), which keeps the elimination rings
+small; the result maps back to the ambient coordinates afterwards.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .exactmath.fields import RationalField
 from .exactmath.orders import GREVLEX
 from .exactmath.poly import Polynomial, PolyRing
-# count_roots, sturm_chain, eliminate and groebner_basis go unused here,
-# but stay importable from this module: perfbench/tracing.py wraps them by
-# these names
+# count_roots, sturm_chain, squarefree_part, eliminate and groebner_basis
+# go unused here, but stay importable from this module: perfbench/tracing.py
+# wraps them by these names
 from .exactmath.sturm import (
     count_roots,
-    dense_degree,
     dense_eval,
     dense_from_poly,
     dense_gcd,
@@ -244,40 +245,22 @@ def normal_space_at(spec: IdealSpec, point: Sequence, *,
     u_names = _fresh_names(n, ("u", "uu", "w"), ring.variables)
     u_ring = PolyRing(u_names, field=f, order=GREVLEX)
 
-    if rank < c:
-        # every ambient direction is normal: no linear constraints
-        frees = tuple(range(n))
-        param = tuple(tuple(f.one if i == j else f.zero for j in range(n))
-                      for i in range(n))
-        return NormalSpace(u_ring, y, (), (), frees, param, rank, c)
-
-    # linear forms: (c+1)-minors of the displacement row over the gradients
-    us = [u_ring.variable(i) for i in range(n)]
-    disp = [us[i] - u_ring.constant(y[i]) for i in range(n)]
-    rows = [disp] + [[u_ring.constant(v) for v in row] for row in jac]
-    lin = _minors(rows, c + 1, u_ring) if c + 1 <= n else []
-    if not lin:
-        # the whole space is normal (c = n leaves no linear condition)
-        frees = tuple(range(n))
-        param = tuple(tuple(f.one if i == j else f.zero for j in range(n))
-                      for i in range(n))
-        return NormalSpace(u_ring, y, (), (), frees, param, rank, c)
-    coeff_rows = []
-    for form in lin:
-        # each minor vanishes at u = y, so the constant term is determined
-        # by the linear coefficients and can be dropped here
-        row = [f.zero] * n
-        for mon, coeff in form.terms.items():
-            if sum(mon) == 0:
+    # the normal space is y + rowspace(J), so its equations are the kernel
+    # of J, read off the echelon form; at a rank drop, or at c = n, every
+    # ambient direction is normal and there are none
+    kernel = []
+    if rank == c:
+        for j in range(n):
+            if j in jac_pivots:
                 continue
-            idx = [i for i, e in enumerate(mon) if e]
-            if len(idx) != 1 or sum(mon) != 1:
-                raise AssertionError("normal-space minor is not linear")
-            row[idx[0]] = coeff
-        coeff_rows.append(row)
-    rref_rows, pivots = _rref(coeff_rows, f)
+            w = [f.one if i == j else f.zero for i in range(n)]
+            for r, col in enumerate(jac_pivots):
+                w[col] = f.neg(jac_rref[r][j])
+            kernel.append(w)
+    rref_rows, pivots = _rref(kernel, f)
     frees = tuple(i for i in range(n) if i not in pivots)
 
+    disp = [u_ring.variable(i) - u_ring.constant(y[i]) for i in range(n)]
     forms = []
     for row in rref_rows:
         poly = u_ring.zero()
@@ -458,19 +441,22 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
     timings["intersection"] = time.perf_counter() - t0
 
     # the boundary is a variety, so on a line the eliminated generator is
-    # reduced to its squarefree part; the scheme multiplicities survive in
-    # the component report below
-    scheme_generator = None
+    # reduced to its squarefree part, the monic product of its factors; the
+    # scheme multiplicities survive in the component report
+    t0 = time.perf_counter()
+    components = None
     if (k == 1 and len(parametric.polys) == 1
             and isinstance(f, RationalField) and not parametric.is_unit_ideal()):
         scheme_generator = parametric.polys[0]
-        dense = squarefree_part(dense_from_poly(scheme_generator))
-        if dense_degree(dense) < scheme_generator.total_degree():
-            svar = parametric.ring.variable(0)
-            reduced = parametric.ring.zero()
-            for coeff in reversed(dense):
-                reduced = reduced * svar + parametric.ring.constant(coeff)
-            parametric = GroebnerBasis(parametric.ring, (reduced.monic(),))
+        pring = parametric.ring
+        factors = factor_rational(dense_from_poly(scheme_generator))
+        polys = [pring.from_terms({(i,): c for i, c in enumerate(fac.coefficients)})
+                 for fac in factors]
+        reduced = prod(polys, start=pring.one())
+        if reduced.total_degree() < scheme_generator.total_degree():
+            parametric = GroebnerBasis(pring, (reduced.monic(),))
+        components = _line_components(factors, polys, ns, budget)
+    timings["components"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     degree: int | None = None
@@ -490,34 +476,21 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
                              interreduce(list(ns.forms) + mapped, ns.u_ring,
                                          budget=budget))
     timings["mapback"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    components = None
-    if scheme_generator is not None:
-        components = _line_components(scheme_generator, ns, budget)
-    timings["components"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
     return VoronoiReport(spec, y, ns, boundary, parametric, degree,
                          components, timings)
 
 
-def _line_components(poly: Polynomial, ns: NormalSpace, budget) -> tuple[VoronoiComponent, ...]:
-    """Factor a univariate parametric boundary into irreducible components."""
-    dense = dense_from_poly(poly, var=0)
+def _line_components(factors, polys: Sequence[Polynomial], ns: NormalSpace,
+                     budget) -> tuple[VoronoiComponent, ...]:
+    """The factors of a univariate parametric boundary as u-ring components."""
     col = ns.free_columns[0]
-    image = ns.u_ring.variable(col) - ns.u_ring.constant(ns.point[col])
-    out = []
-    for factor in factor_rational(dense):
-        upoly = ns.u_ring.zero()
-        power = ns.u_ring.one()
-        for coeff in factor.coefficients:
-            if coeff:
-                upoly = upoly + ns.u_ring.constant(coeff) * power
-            power = power * image
-        gens = interreduce(list(ns.forms) + [upoly], ns.u_ring, budget=budget)
-        out.append(VoronoiComponent(gens, factor.multiplicity,
-                                    factor.certified_irreducible))
-    return tuple(out)
+    image = [ns.u_ring.variable(col) - ns.u_ring.constant(ns.point[col])]
+    return tuple(
+        VoronoiComponent(interreduce(list(ns.forms) + [p.compose(ns.u_ring, image)],
+                                     ns.u_ring, budget=budget),
+                         fac.multiplicity, fac.certified_irreducible)
+        for fac, p in zip(factors, polys))
 
 
 @dataclass(frozen=True)

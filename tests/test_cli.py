@@ -143,6 +143,25 @@ class TestVoronoiCommand:
                            "--point", '["4", "8"]')
         assert first == second
 
+    def test_cusp_report_runs_each_euclid_once(self, capsys, cusp_file,
+                                               monkeypatch):
+        # one remainder sequence of f against f' serves the squarefree
+        # part, Yun's first step and the Sturm chain; repeating those Euclid
+        # runs made 41 divisions here
+        from voronoi_cells import unifactor
+        from voronoi_cells.exactmath import sturm
+
+        calls = []
+        for module in (sturm, unifactor):
+            def counted(a, b, divmod_=module.dense_divmod):
+                calls.append(1)
+                return divmod_(a, b)
+            monkeypatch.setattr(module, "dense_divmod", counted)
+        code, _, _ = run(capsys, "voronoi", cusp_file,
+                         "--point", '["4", "8"]')
+        assert code == 0
+        assert len(calls) == 22
+
     def test_timings_only_on_request(self, capsys, cusp_file):
         _, body, _ = run_json(capsys, "voronoi", cusp_file,
                               "--point", '["4", "8"]')

@@ -243,6 +243,48 @@ class TestSturm:
         assert count_roots(chain, Fraction(-1), Fraction(1)) == 1
         assert count_roots(chain, Fraction(-2), Fraction(1)) == 2
 
+    def test_half_open_counts_at_multiple_roots(self):
+        # endpoints at roots of multiplicity 2 and 3, where every member of
+        # the undivided remainder sequence vanishes
+        f = self.u_poly("(u - 1)^2 * (u + 2)^3 * u * (u^2 - 2)")
+        chain = sturm_chain(f)
+        assert len(chain[-1]) == 1
+        one, two = Fraction(1), Fraction(-2)
+        assert count_roots(chain, two, one) == 3       # -sqrt2, 0, 1
+        assert count_roots(chain, two - 1, two) == 1   # -2 itself
+        assert count_roots(chain, one, Fraction(2)) == 1   # sqrt2 only
+        assert count_roots(chain, Fraction(0), one) == 1
+        assert count_roots(chain, two, two) == 0
+        assert count_roots(chain, one, two) == 0
+        assert count_roots(chain, two - 1, Fraction(2)) == 5
+        assert squarefree_part(f) == chain[0]
+        mids = [float((lo + hi) / 2) for lo, hi in isolate_real_roots(f)]
+        assert mids == pytest.approx([-2, -2**0.5, 0, 1, 2**0.5], abs=1e-6)
+
+    def test_exact_root_sorts_before_the_bracket_it_opens(self):
+        # (u + 1)(u^2 - 3u - 3) at width 1/2: -1 is hit exactly, and the
+        # next root's bracket starts there
+        f = self.u_poly("u^3 - 2*u^2 - 6*u - 3")
+        assert isolate_real_roots(f, Fraction(1, 2)) == [
+            (Fraction(-1), Fraction(-1)), (Fraction(-1), Fraction(-1, 2)),
+            (Fraction(7, 2), Fraction(4))]
+
+    def test_squarefree_chain_runs_one_euclid(self, monkeypatch):
+        from voronoi_cells.exactmath import sturm
+
+        calls = []
+
+        def counted(a, b, divmod_=sturm.dense_divmod):
+            calls.append(1)
+            return divmod_(a, b)
+
+        monkeypatch.setattr(sturm, "dense_divmod", counted)
+        f = self.u_poly("368*u^3 + 71*u^2 - 6*u - 1")
+        chain = sturm_chain(f)
+        # one division per remainder; the constant last member ends the run
+        assert len(chain) == 4 and len(chain[-1]) == 1
+        assert len(calls) == 2
+
     def test_cauchy_bound_contains_roots(self):
         f = self.u_poly("u^2 - 100")
         assert cauchy_bound(f) >= 10

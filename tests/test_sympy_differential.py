@@ -9,6 +9,14 @@ same way, as the elimination of t from I + <1 - t*g>.  Normal forms over Q
 are checked against the remainder of sympy.reduced by the reduced basis,
 which is unique too.  Coefficients are rationals with denominators up to
 7, so the engine's fraction-free scaling is exercised on every input.
+
+The univariate layer is checked against sympy's squarefree and real-root
+routines on products of factors with repeated multiplicities and rational
+coefficients, since only a non-constant gcd(f, f') changes the members of
+the Sturm chain: the squarefree part up to a scalar, the squarefree
+decomposition, the number of distinct real roots, one root in every
+isolating bracket, and root counts on half-open intervals whose endpoints
+are multiple roots.
 """
 from fractions import Fraction
 from itertools import product
@@ -22,12 +30,20 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from voronoi_cells.exactmath import QQ, PolyRing, PrimeField  # noqa: E402
+from voronoi_cells.exactmath.sturm import (  # noqa: E402
+    count_real_roots,
+    count_roots,
+    isolate_real_roots,
+    squarefree_part,
+    sturm_chain,
+)
 from voronoi_cells.groebner import (  # noqa: E402
     eliminate,
     groebner_basis,
     normal_form,
     saturate,
 )
+from voronoi_cells.unifactor import squarefree_decomposition  # noqa: E402
 
 P = 32003
 BUDGET = 20_000
@@ -197,3 +213,103 @@ def test_normal_form_matches_sympy_reduced(system, data):
     assert normal_form(f + member, gb, budget=BUDGET) == nf
     assert gb.contains(member, budget=BUDGET)
     assert gb.contains(f, budget=BUDGET) == (not want)
+
+
+# ---------------------------------------------------------------------------
+# the univariate layer
+
+X = sympy.Symbol("x")
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+@st.composite
+def repeated_factors(draw):
+    """(dense coefficients, the rational roots of the linear factors): a
+    nonzero rational times monic linear and quadratic factors with rational
+    coefficients, each to a power 1-3, of degree at most 12."""
+    f = [draw(RATIONALS.filter(bool))]
+    roots = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            root = draw(RATIONALS)
+            factor = [-root, Fraction(1)]
+            roots.append(root)
+        else:
+            factor = [draw(RATIONALS), draw(RATIONALS), Fraction(1)]
+        for _ in range(draw(st.integers(1, 3))):
+            if len(f) + len(factor) - 2 <= 12:
+                f = _mul(f, factor)
+    return f, roots
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], X, domain="QQ")
+
+
+def _monic(coeffs):
+    return tuple(c / coeffs[-1] for c in coeffs)
+
+
+def _sympy_monic(poly):
+    return tuple(reversed([Fraction(int(c.p), int(c.q))
+                           for c in poly.monic().all_coeffs()]))
+
+
+def _distinct_in(sqf, a, b):
+    """Distinct roots of a squarefree sympy polynomial in (a, b]."""
+    if a >= b:
+        return 0
+    return sqf.count_roots(a, b) - (sqf.eval(a) == 0)
+
+
+@CHECKS
+@given(case=repeated_factors())
+def test_squarefree_part_matches_sympy(case):
+    f, _ = case
+    assert _monic(squarefree_part(f)) == _sympy_monic(_sympy_poly(f).sqf_part())
+
+
+@CHECKS
+@given(case=repeated_factors())
+def test_squarefree_decomposition_matches_sympy(case):
+    f, _ = case
+    ours = {(_monic(g), k) for g, k in squarefree_decomposition(f)}
+    _, theirs = _sympy_poly(f).sqf_list()
+    assert ours == {(_sympy_monic(g), k) for g, k in theirs}
+
+
+@CHECKS
+@given(case=repeated_factors())
+def test_real_roots_match_sympy(case):
+    f, _ = case
+    sqf = _sympy_poly(f).sqf_part()
+    total = sqf.count_roots()
+    assert count_real_roots(f) == total
+    brackets = isolate_real_roots(f, Fraction(1, 2**10))
+    assert len(brackets) == total
+    for lo, hi in brackets:
+        if lo == hi:
+            assert sqf.eval(lo) == 0
+        else:
+            assert _distinct_in(sqf, lo, hi) == 1
+
+
+@CHECKS
+@given(case=repeated_factors(), data=st.data())
+def test_count_roots_at_multiple_roots_matches_sympy(case, data):
+    f, roots = case
+    sqf = _sympy_poly(f).sqf_part()
+    chain = sturm_chain(f)
+    ends = st.one_of(st.sampled_from(roots), RATIONALS) if roots else RATIONALS
+    for _ in range(4):
+        a, b = data.draw(ends), data.draw(ends)
+        assert count_roots(chain, a, b) == _distinct_in(sqf, a, b)

@@ -60,6 +60,14 @@ class TestRationalRoots:
         f = dense("(101*u - 100) * (102*u - 101)")
         assert exact_rational_roots(f) == [Fraction(100, 101), Fraction(101, 102)]
 
+    def test_root_at_the_open_end_of_the_next_bracket(self):
+        # (u + 1)(u^2 - 3u - 3): the bracket (-1, -1/2] of the root near
+        # -0.79 has the rational root -1 at its excluded lower end
+        assert exact_rational_roots(dense("u^3 - 2*u^2 - 6*u - 3")) == [-1]
+        factors = factor_rational(dense("(u + 1)^2 * (u^2 - 3*u - 3)^2"))
+        assert sorted((f.degree, f.multiplicity) for f in factors) == [
+            (1, 2), (2, 2)]
+
     def test_randomized_reconstruction(self):
         rng = random.Random(55)
         ring = PolyRing(("u",))

@@ -18,6 +18,7 @@ ALLOWED = {
     ("voronoi_cells/voronoi.py", "groebner_basis"),
     ("voronoi_cells/voronoi.py", "count_roots"),
     ("voronoi_cells/voronoi.py", "sturm_chain"),
+    ("voronoi_cells/voronoi.py", "squarefree_part"),
     ("voronoi_cells/degrees.py", "eliminate"),
 }
 
