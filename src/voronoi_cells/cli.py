@@ -453,8 +453,8 @@ def cmd_sdp_member(args) -> int:
         "command": "sdp-member",
         "level": args.level,
         "status": result.status,
-        "lambda": (None if result.witness is None
-                   else [float(v) for v in result.witness]),
+        "lambda": ([float(v) for v in result.witness]
+                   if result.status == "member" else None),
         "margin": _json_float(float(result.margin)),
         "iterations": result.iterations,
     }

@@ -8,8 +8,12 @@ lam to an affine subspace, so the certificate is an LMI feasibility
 question.  Varieties of higher degree are first lifted to a Veronese
 embedding where every defining equation becomes a quadric; rising lift
 levels certify growing inner approximations of the cell.  The LMI engine
-is a projected-subgradient solver on the largest eigenvalue, adequate
-for the dense desk-scale matrices produced here.
+minimizes the largest eigenvalue over the multipliers with damped Newton
+steps on a log-det barrier, sized for the dense desk-scale matrices
+produced here.  A member carries multipliers whose matrix inequality
+holds to within tol; a non-member found by the Newton solve carries a
+dual matrix that bounds the largest eigenvalue away from zero for every
+choice of multipliers, so it is a proof.
 """
 from __future__ import annotations
 
@@ -274,15 +278,37 @@ def _affine_solution(eq_matrix: np.ndarray, eq_rhs: np.ndarray, k: int):
     return lam0, vt[rank:].T
 
 
+def _check_settings(tol: float, max_iterations: int):
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iterations < 1:
+        raise ValueError(
+            f"max_iterations must be at least 1, got {max_iterations}")
+
+
 def lmi_feasible(problem: LMIFeasibilityProblem) -> LMIResult:
     """Classify the LMI by minimizing the top eigenvalue over E lam = e.
 
-    Projected subgradient with Polyak steps on the eigenvalue function;
-    equality constraints are eliminated through an affine parameterization
-    (particular solution plus nullspace basis), so every iterate satisfies
-    them exactly.  Best value <= tol is feasible, >= 10 tol after the
-    search stalls is infeasible, anything between stays inconclusive.
+    Equality constraints are eliminated through an affine parameterization
+    lam = lam0 + basis mu (particular solution plus nullspace basis), so
+    every iterate satisfies them exactly.  With M0 = sum lam0_i B_i - C and
+    D_j = sum_i basis_ij B_i, damped Newton steps on the log-det barrier
+    beta t - log det(tI - M0 - sum mu_j D_j) follow the central path of
+    min t, with beta raised after each centring.
+
+    An iterate with top eigenvalue <= tol is ``feasible`` with lam as the
+    witness.  ``infeasible`` from the Newton solve is a proof: the witness
+    is a dual matrix Z >= 0 with tr Z = 1 and <D_j, Z> = 0, so every lam
+    has top eigenvalue at least <M0, Z> >= 10 tol.  When the equalities
+    settle the answer alone (inconsistent, a forced zero row, or lam fully
+    determined, where ``margin`` is exact) there is no witness.
+    ``inconclusive`` means the duality gap fell below tol, or
+    ``max_iterations`` Newton steps ran out, first.  ``margin`` is the
+    smallest top eigenvalue found and ``iterations`` counts Newton steps.
+    A tol that is not finite and positive, or a max_iterations below 1,
+    raises ValueError.
     """
+    _check_settings(problem.tol, problem.max_iterations)
     c = np.asarray(problem.rhs, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("right-hand side must be a square matrix")
@@ -356,59 +382,91 @@ def lmi_feasible(problem: LMIFeasibilityProblem) -> LMIResult:
         size = len(active)
 
     stack = np.stack(bs) if k else np.zeros((0, size, size))
-
-    def top_eigen(lam):
-        m = np.tensordot(lam, stack, axes=1) - c if k else -c
-        w, vecs = np.linalg.eigh(m)
-        return float(w[-1]), vecs[:, -1]
-
-    best, vec = top_eigen(lam0)
-    best_witness = lam0.copy()
-    iterations = 0
+    m0 = np.tensordot(lam0, stack, axes=1) - c
+    w, vecs = np.linalg.eigh(m0)
+    best = float(w[-1])
     if best <= tol:
-        return LMIResult("feasible", best_witness, best, iterations)
+        return LMIResult("feasible", lam0.copy(), best, 0)
     if basis.shape[1] == 0:
         # multipliers fully determined; the value is exact
         status = "infeasible" if best >= 10.0 * tol else "inconclusive"
-        return LMIResult(status, None, best, iterations)
+        return LMIResult(status, None, best, 0)
 
-    mu = np.zeros(basis.shape[1])
-    lam = lam0
-    value = best
-    window = 500
-    window_best = best
-    stalled = False
-    for iterations in range(1, problem.max_iterations + 1):
-        grad = basis.T @ (stack @ vec @ vec)
-        gnorm2 = float(grad @ grad)
-        if gnorm2 <= 1e-24:
-            stalled = True
+    # min t subject to S = tI - M0 - sum mu_j D_j >= 0, by damped Newton
+    # steps on beta t - log det S with beta raised after each centring
+    ds = np.tensordot(basis.T, stack, axes=1)
+    flat_d = ds.reshape(len(ds), -1)
+    gram_inv = np.linalg.pinv(flat_d @ flat_d.T)
+
+    # I in the span of the D_j makes the Newton system singular in t: the
+    # barrier falls without bound along mu -> mu - s a, which lowers every
+    # eigenvalue of M by s
+    a = gram_inv @ np.trace(ds, axis1=1, axis2=2)
+    if np.abs(np.tensordot(a, ds, axes=1) - np.eye(size)).max() <= 1e-9:
+        lam = lam0 - (best + 1.0) * (basis @ a)
+        top = np.linalg.eigvalsh(np.tensordot(lam, stack, axes=1) - c)[-1]
+        return LMIResult("feasible", lam, float(top), 1)
+
+    # A_0 = I and A_j = -D_j are the derivatives of S in (t, mu)
+    moves = np.concatenate([np.eye(size)[None], -ds])
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    c_norm = float(np.linalg.norm(c))
+    mu = np.zeros(len(ds))
+    t = best + 1.0
+    beta = float((1.0 / (t - w)).sum())
+    steps = 0
+    while True:
+        # everything below lives in the frame S^-1/2 (.) S^-1/2
+        root = (vecs / np.sqrt(t - w)) @ vecs.T
+        scaled = root @ moves @ root
+        flat = scaled.reshape(len(moves), -1)
+        hess = flat @ flat.T
+        pull = np.trace(scaled, axis1=1, axis2=2)  # tr(S^-1 A_a)
+
+        # S^-1 projected onto <D_j, Z> = 0 in the barrier's local metric
+        # (a Gram solve with the mu block of the Hessian), which keeps it
+        # inside the cone, then once more in the plain metric, which clears
+        # the rounding of the first solve; scaled to trace 1 and positive
+        # semidefinite, weak duality gives min lam_max >= <M0, Z>
+        coeffs = np.linalg.lstsq(hess[1:, 1:], pull[1:], rcond=None)[0]
+        z = root @ (np.eye(size)
+                    - np.tensordot(coeffs, scaled[1:], axes=1)) @ root
+        z -= np.tensordot(gram_inv @ (flat_d @ z.reshape(-1)), ds, axes=1)
+        z /= np.trace(z)
+        if (float((m0 * z).sum()) >= 10.0 * tol
+                and np.linalg.eigvalsh(z)[0] >= 0.0):
+            return LMIResult("infeasible", z, best, steps)
+
+        if steps == problem.max_iterations:
             break
-        # Polyak step aimed at the feasibility level: finite-time success
-        # on strictly feasible problems, oscillation near the true margin
-        # (caught by the stall window) on infeasible ones
-        target = min(best, 0.0) - tol
-        mu = mu - ((value - target) / gnorm2) * grad
-        lam = lam0 + basis @ mu
-        value, vec = top_eigen(lam)
-        if value < best:
-            best = value
-            best_witness = lam.copy()
-            if best <= tol:
-                return LMIResult("feasible", best_witness, best, iterations)
-        if iterations % window == 0:
-            if best > window_best - 0.1 * tol:
-                stalled = True
+        hess_inv = np.linalg.pinv(hess)
+        grad = -pull
+        grad[0] += beta
+        step = -hess_inv @ grad
+        decrement = math.sqrt(max(0.0, float(-grad @ step)))
+        if decrement <= 0.5:
+            # centred: the duality gap is size / beta
+            if size / beta < tol:
                 break
-            window_best = best
-    else:
-        stalled = True  # iteration budget is the outer stall criterion
-
-    if best <= tol:
-        return LMIResult("feasible", best_witness, best, iterations)
-    if stalled and best >= 10.0 * tol:
-        return LMIResult("infeasible", None, best, iterations)
-    return LMIResult("inconclusive", None, best, iterations)
+            beta *= 8.0
+            grad[0] = beta - pull[0]
+            step = -hess_inv @ grad
+            decrement = math.sqrt(max(0.0, float(-grad @ step)))
+        steps += 1
+        step /= 1.0 + decrement
+        t += step[0]
+        mu += step[1:]
+        lam = lam0 + basis @ mu
+        w, vecs = np.linalg.eigh(np.tensordot(lam, stack, axes=1) - c)
+        if w[-1] < best:
+            best = float(w[-1])
+            # far-out iterates sum large cancelling terms; a top eigenvalue
+            # inside their rounding error proves nothing
+            if best + 1e-14 * (np.abs(lam) @ norms + c_norm) <= tol:
+                return LMIResult("feasible", lam, best, steps)
+        if w[-1] >= t:
+            break  # rounding pushed the iterate out of the barrier's domain
+    return LMIResult("inconclusive", None, best, steps)
 
 
 @dataclass(frozen=True)
@@ -441,9 +499,13 @@ def leveld_membership(polys, y, u, d: int, tol: float = DEFAULT_SDP_TOL,
 
     Level 1 takes quadrics as they are (the lift has no relations): it
     decides whether some lam with sum lam_i A_i <= 2I satisfies
-    (1/2) Jac(y) lam = y - u.  A member answer is a proof; non-member
-    only says this level's certificate does not exist.
+    (1/2) Jac(y) lam = y - u.  A member carries its multipliers lam.  A
+    non-member carries the dual matrix from ``lmi_feasible`` that proves
+    no lam works, or None when the stationarity equations settle the
+    answer alone; it only says this level's certificate does not exist.
+    ``iterations`` counts Newton steps of the LMI solve.
     """
+    _check_settings(tol, max_iterations)
     polys = tuple(polys)
     if not polys:
         raise ValueError("need at least one defining polynomial")

@@ -331,6 +331,19 @@ class TestSdpMemberCommand:
         assert code == 1
         assert "point not on variety" in err
 
+    @pytest.mark.parametrize("setting", [
+        ("--tol", "-1"), ("--tol", "inf"), ("--tol", "nan"),
+        ("--max-iterations", "0")],
+        ids=["negative-tol", "infinite-tol", "nan-tol", "no-iterations"])
+    def test_bad_solver_settings(self, capsys, cardioid_file, setting):
+        code, out, err = run(capsys, "sdp-member", cardioid_file,
+                             "--point", '["0", "1"]',
+                             "--u", '["1/2", "3/2"]', "--level", "2",
+                             *setting)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_byte_identical_reruns(self, capsys, cardioid_file):
         args = ("sdp-member", cardioid_file, "--point", '["0", "1"]',
                 "--u", '["2", "3"]', "--level", "2")

@@ -7,6 +7,7 @@ import pytest
 
 from voronoi_cells.exactmath import PolyRing, parse_polynomial
 from voronoi_cells.sdp import (
+    DEFAULT_SDP_TOL,
     LMIFeasibilityProblem,
     leveld_membership,
     lmi_feasible,
@@ -18,6 +19,11 @@ RING3 = PolyRing(("x1", "x2", "x3"))
 TWISTED_CUBIC = (parse_polynomial("x2 - x1^2", RING3),
                  parse_polynomial("x3 - x1*x2", RING3))
 ORIGIN = (0.0, 0.0, 0.0)
+
+BAD_SETTINGS = pytest.mark.parametrize("setting", [
+    {"tol": -1.0}, {"tol": math.inf}, {"tol": math.nan},
+    {"max_iterations": 0}],
+    ids=["negative-tol", "infinite-tol", "nan-tol", "no-iterations"])
 
 RING2 = PolyRing(("x1", "x2"))
 CARDIOID = parse_polynomial("(x1^2 + x2^2 + x1)^2 - x1^2 - x2^2", RING2)
@@ -100,6 +106,55 @@ class TestQuadricSystem:
                           3, 1)
 
 
+def golden_min(f, lo, hi, steps=60):
+    """Minimum of a convex function on [lo, hi] by golden-section search."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = f(d)
+    return min(fc, fd, f(lo), f(hi))
+
+
+def min_top_eigenvalue(lhs, rhs, box=100.0):
+    """min over |mu_j| <= box of the top eigenvalue of sum mu_j B_j - C,
+    by nested golden-section search (one or two multipliers)."""
+    def top(mu):
+        m = sum(x * b for x, b in zip(mu, lhs)) - rhs
+        return float(np.linalg.eigvalsh(m)[-1])
+
+    if len(lhs) == 1:
+        return golden_min(lambda x: top((x,)), -box, box)
+    return golden_min(
+        lambda x: golden_min(lambda y: top((x, y)), -box, box), -box, box)
+
+
+def zero_optimum_lmi(rng):
+    """4 x 4 LMI data with nine multipliers whose least top eigenvalue is
+    exactly 0: every B_i is orthogonal to a rank-3 positive semidefinite
+    Z*, which proves the bound, and some lam attains it three times."""
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    w = rng.standard_normal((3, 3))
+    zstar = q[:, :3] @ (w @ w.T + 0.1 * np.eye(3)) @ q[:, :3].T
+    lhs = []
+    for _ in range(9):
+        b = rng.standard_normal((4, 4))
+        b = b + b.T
+        b -= (b * zstar).sum() / (zstar * zstar).sum() * zstar
+        lhs.append(250.0 * b)
+    tops = [0.0, 0.0, 0.0, -250.0 * rng.uniform(0.05, 3.0)]
+    lam = rng.standard_normal(9)
+    rhs = sum(x * b for x, b in zip(lam, lhs)) - (q * tops) @ q.T
+    return tuple(lhs), rhs
+
+
 class TestLMIEngine:
     def test_identity_is_feasible(self):
         problem = LMIFeasibilityProblem(
@@ -160,6 +215,83 @@ class TestLMIEngine:
         res = lmi_feasible(problem)
         assert res.status == "infeasible"
         assert res.margin == pytest.approx(1.0, abs=1e-6)
+
+    def test_recession_direction_that_is_not_the_identity(self):
+        # B1 + B2 is negative definite, neither B_j is, and no combination
+        # is a multiple of I: the barrier falls without bound, so Newton
+        # steps must walk down to a witness
+        b1 = np.array([[1.0, 1.0], [1.0, -2.0]])
+        b2 = np.diag([-3.0, 1.0])
+        problem = LMIFeasibilityProblem(
+            lhs=(b1, b2), rhs=-3.0 * np.eye(2),
+            eq_matrix=np.zeros((0, 2)), eq_rhs=np.zeros(0))
+        res = lmi_feasible(problem)
+        assert res.status == "feasible"
+        lam = res.witness
+        top = max(np.linalg.eigvalsh(lam[0] * b1 + lam[1] * b2
+                                     + 3.0 * np.eye(2)))
+        assert top <= problem.tol
+
+    def test_random_lmis_against_a_search_oracle(self):
+        # no equalities, so M0 = -C and D_j = B_j; every infeasible
+        # verdict must come with a dual matrix that proves it
+        rng = np.random.default_rng(23)
+        tol = DEFAULT_SDP_TOL
+        seen = set()
+        steps = 0
+        for _ in range(40):
+            size = int(rng.integers(2, 6))
+            lhs = []
+            for _ in range(int(rng.integers(1, 3))):
+                b = rng.standard_normal((size, size))
+                lhs.append(b + b.T)
+            c = rng.standard_normal((size, size))
+            rhs = c + c.T + rng.uniform(-2.0, 2.0) * np.eye(size)
+            res = lmi_feasible(LMIFeasibilityProblem(
+                lhs=tuple(lhs), rhs=rhs, eq_matrix=np.zeros((0, len(lhs))),
+                eq_rhs=np.zeros(0), tol=tol))
+            best = min_top_eigenvalue(lhs, rhs)
+            assert (res.status == "feasible") == (best <= tol), (best, res)
+            assert (res.status == "infeasible") == (best >= 10 * tol), \
+                (best, res)
+            if res.status == "feasible":
+                lam = res.witness
+                m = sum(x * b for x, b in zip(lam, lhs)) - rhs
+                assert np.linalg.eigvalsh(m)[-1] <= tol
+            else:
+                z = res.witness
+                assert np.linalg.eigvalsh(z)[0] >= 0.0
+                assert np.trace(z) == pytest.approx(1.0, abs=1e-12)
+                for b in lhs:
+                    assert abs(float((b * z).sum())) <= 1e-9
+                bound = float((-rhs * z).sum())
+                assert 10 * tol <= bound <= best + 1e-9
+            seen.add(res.status)
+            steps += res.iterations
+        assert seen == {"feasible", "infeasible"}
+        # projecting in the barrier's local metric proves most infeasible
+        # draws at the start point; the plain projection alone needs 56
+        assert steps <= 40
+
+    def test_no_proof_against_a_known_zero_optimum(self):
+        # nine multipliers leave one dual direction in 4 x 4, so a dual
+        # matrix whose constraints hold only to rounding can seem to prove
+        # a positive bound on a problem whose optimum is 0
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            lhs, rhs = zero_optimum_lmi(rng)
+            res = lmi_feasible(LMIFeasibilityProblem(
+                lhs=lhs, rhs=rhs, eq_matrix=np.zeros((0, 9)),
+                eq_rhs=np.zeros(0)))
+            assert res.status != "infeasible", res
+
+    @BAD_SETTINGS
+    def test_rejects_bad_settings(self, setting):
+        problem = LMIFeasibilityProblem(
+            lhs=(np.eye(2),), rhs=np.eye(2),
+            eq_matrix=np.zeros((0, 1)), eq_rhs=np.zeros(0), **setting)
+        with pytest.raises(ValueError):
+            lmi_feasible(problem)
 
     def test_facial_reduction_zero_diagonal(self):
         # B has an identically zero diagonal entry, so feasibility forces
@@ -347,6 +479,19 @@ class TestLevelD:
             res = leveld_membership([CARDIOID], CARDIOID_POINT,
                                     (t, 1.0 + t), 2)
             assert res.status == "non-member", (t, res)
+
+    def test_cardioid_rejections_take_few_newton_steps(self):
+        for t in (-0.1, -0.25):
+            res = leveld_membership([CARDIOID], CARDIOID_POINT,
+                                    (t, 1.0 + t), 2)
+            assert res.status == "non-member"
+            assert res.iterations <= 25, (t, res.iterations)
+
+    @BAD_SETTINGS
+    def test_rejects_bad_settings(self, setting):
+        with pytest.raises(ValueError):
+            leveld_membership([CARDIOID], CARDIOID_POINT, (0.5, 1.5), 2,
+                              **setting)
 
     def test_base_point_is_a_member(self):
         res = leveld_membership([CARDIOID], CARDIOID_POINT, CARDIOID_POINT, 2)
