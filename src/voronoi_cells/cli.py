@@ -42,6 +42,7 @@ from .exactmath import (
     dense_from_poly,
     parse_polynomial,
 )
+from .exactmath.sturm import dense_eval
 from .groebner import BudgetExhaustedError, IdealSpec
 from .lowrank import (
     DEFAULT_TOL,
@@ -520,12 +521,13 @@ def _sign_grid_rows(poly, window, rows: int, cols: int):
     """Exact signs of poly on the grid, one generator call per row.
 
     Freezing the first coordinate turns each row into a dense univariate
-    polynomial, evaluated by Horner; a value within 1e-12 of the row's
-    largest magnitude counts as zero.
+    polynomial, evaluated by ``dense_eval``; a value within 1e-12 of the
+    row's largest magnitude counts as zero.
     """
     amin, amax, bmin, bmax = window
     astep = (amax - amin) / (rows - 1)
     bstep = (bmax - bmin) / (cols - 1)
+    bs = [bmin + j * bstep for j in range(cols)]
     d_b = max(mon[1] for mon in poly.terms) if poly.terms else 0
     zero_band = Fraction(1, 10 ** 12)
     for i in range(rows):
@@ -533,17 +535,10 @@ def _sign_grid_rows(poly, window, rows: int, cols: int):
         dense = [Fraction(0)] * (d_b + 1)
         for mon, coeff in poly.terms.items():
             dense[mon[1]] += Fraction(coeff) * a ** mon[0]
-        values = []
-        for j in range(cols):
-            b = bmin + j * bstep
-            acc = Fraction(0)
-            for c in reversed(dense):
-                acc = acc * b + c
-            values.append(acc)
+        values = [dense_eval(dense, b) for b in bs]
         scale = max(abs(v) for v in values)
         cutoff = scale * zero_band
-        for j, value in enumerate(values):
-            b = bmin + j * bstep
+        for b, value in zip(bs, values):
             if abs(value) <= cutoff:
                 sign = 0
             else:

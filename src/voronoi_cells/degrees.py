@@ -208,6 +208,14 @@ def random_hypersurface(n: int, d: int, prime: int, seed: int,
     return IdealSpec(ring, (ring.from_terms(terms),), 1), tuple(y)
 
 
+def _nonzero_coeffs(rng: random.Random, p: int, n: int) -> list[int]:
+    """n coefficients mod p, redrawn together until one is nonzero."""
+    coeffs = [rng.randrange(p) for _ in range(n)]
+    while not any(coeffs):
+        coeffs = [rng.randrange(p) for _ in range(n)]
+    return coeffs
+
+
 def _sliced_degree_once(spec: IdealSpec, point, codim: int, seed: int,
                         budget) -> int:
     """One pipeline run: slice, saturate by a random linear form, count.
@@ -228,10 +236,7 @@ def _sliced_degree_once(spec: IdealSpec, point, codim: int, seed: int,
     slice_polys = []
     for _ in range(codim - 1):
         form = ns.u_ring.zero()
-        coeffs = [rng.randrange(p) for _ in range(n)]
-        while all(c == 0 for c in coeffs):
-            coeffs = [rng.randrange(p) for _ in range(n)]
-        for i, c in enumerate(coeffs):
+        for i, c in enumerate(_nonzero_coeffs(rng, p, n)):
             if c:
                 form = form + ns.u_ring.variable(i).scale(c)
         slice_polys.append(form + ns.u_ring.constant(rng.randrange(p)))
@@ -239,10 +244,7 @@ def _sliced_degree_once(spec: IdealSpec, point, codim: int, seed: int,
     sring, _, gens = parametric_critical_system(spec, ns, codim=codim,
                                                 slices=slice_polys)
     lin = sring.zero()
-    coeffs = [rng.randrange(p) for _ in range(n)]
-    while all(c == 0 for c in coeffs):
-        coeffs = [rng.randrange(p) for _ in range(n)]
-    for i, c in enumerate(coeffs):
+    for i, c in enumerate(_nonzero_coeffs(rng, p, n)):
         if c:
             lin = lin + (sring.variable(i) - sring.constant(point[i])).scale(c)
 
@@ -261,17 +263,17 @@ def voronoi_degree_modp(spec: IdealSpec, point, *, codim: int | None = None,
 
     Each replica draws fresh slice and saturation randomness from seed + i;
     a replica whose slice fails to cut the boundary to points is reseeded
-    up to MAX_RESEEDS times.  The majority degree is reported, with all
+    up to MAX_RESEEDS times.  The point is fixed, so a singular one raises
+    SingularPointError at once.  The majority degree is reported, with all
     runs listed and a stability flag.
     """
     field = spec.ring.field
     if not isinstance(field, PrimeField):
         raise ValueError("degree experiments run over a prime field")
     c = codim if codim is not None else (spec.codim or len(spec.generators))
-    runs = []
-    for i in range(replicas):
-        runs.append(_run_with_reseeds(spec, point, c, seed + i, field.p,
-                                      budget))
+    runs = [_run_with_reseeds(lambda _: (spec, point), seed + i, field.p, c,
+                              budget, UnluckySliceError)[0]
+            for i in range(replicas)]
     return _stabilize(spec, point, c, seed, field.p, runs)
 
 
@@ -289,40 +291,41 @@ def hypersurface_degree_experiment(n: int, d: int, *,
     y1 = 0 and measures the degree there.  The report carries the
     hypersurface and point of replica 0's successful attempt.
     """
-    runs = []
-    first = None
-    for i, prime in enumerate(primes):
-        attempt = 0
-        while True:
-            gen_seed = seed + i + 1000003 * attempt
-            spec, y = random_hypersurface(n, d, prime, gen_seed,
-                                          homogeneous=homogeneous)
-            try:
-                deg = _sliced_degree_once(spec, y, 1, gen_seed, budget)
-            except (SingularPointError, UnluckySliceError):
-                attempt += 1
-                if attempt > MAX_RESEEDS:
-                    raise
-                continue
-            if first is None:
-                first = (spec, y)
-            runs.append((gen_seed, prime, deg))
-            break
-    spec, y = first
-    return _stabilize(spec, y, 1, seed, primes[0], runs)
+    results = [_run_with_reseeds(
+        lambda s: random_hypersurface(n, d, prime, s, homogeneous=homogeneous),
+        seed + i, prime, 1, budget, (SingularPointError, UnluckySliceError))
+        for i, prime in enumerate(primes)]
+    _, spec, y = results[0]
+    return _stabilize(spec, y, 1, seed, primes[0],
+                      [run for run, _, _ in results])
 
 
-def _run_with_reseeds(spec, point, codim, seed, prime, budget):
-    attempt = 0
-    while True:
+def _run_with_reseeds(draw, seed: int, prime: int, codim: int, budget,
+                      retry):
+    """One replica: a degree run over F_prime with its reseeds.
+
+    Attempt j uses the seed seed + 1000003 * j, both for draw(that seed),
+    which gives the spec and point to measure, and for the slice.  An
+    error of a type in ``retry`` takes the next attempt, up to MAX_RESEEDS
+    more.  Returns the run (seed, prime, degree) with its spec and point.
+    A singular point that ends the replica raises SingularPointError
+    naming the replica seed, the prime and the number of draws.
+    """
+    for attempt in range(MAX_RESEEDS + 1):
         run_seed = seed + 1000003 * attempt
+        spec, point = draw(run_seed)
         try:
-            return (run_seed, prime,
-                    _sliced_degree_once(spec, point, codim, run_seed, budget))
-        except UnluckySliceError:
-            attempt += 1
-            if attempt > MAX_RESEEDS:
-                raise
+            degree = _sliced_degree_once(spec, point, codim, run_seed, budget)
+            return (run_seed, prime, degree), spec, point
+        except (SingularPointError, UnluckySliceError) as exc:
+            if isinstance(exc, retry) and attempt < MAX_RESEEDS:
+                continue
+            if isinstance(exc, SingularPointError):
+                raise SingularPointError(
+                    f"singular point after {attempt + 1} draw(s) of replica "
+                    f"seed {seed} over F_{prime}; degree runs measure at "
+                    "smooth points only") from exc
+            raise
 
 
 def _stabilize(spec, point, codim, seed, prime, runs) -> DegreeExperiment:

@@ -72,9 +72,6 @@ class PolyRing:
     def index_of(self, name: str) -> int:
         return self._index[name]
 
-    def key_asc(self, mon):
-        return self.order.key_asc(mon)
-
     def key_desc(self, mon):
         return self.order.key_desc(mon)
 

@@ -4,7 +4,11 @@ The engine packs exponent vectors into a single integer, 24 bits per
 variable, so monomial multiplication is integer addition and divisibility
 is one masked subtraction (each variable keeps a guard bit that a borrow
 would clear); the same guard bits select the larger exponent of each
-variable, so an lcm costs a constant number of integer operations.
+variable, so an lcm costs a constant number of integer operations.  Every
+exponent must stay below 2^23; a larger one raises OverflowError.  This
+module holds no order logic: monomials compare by the ring order's integer
+key from ``exactmath.orders``, the key ``Polynomial`` sorts its terms by,
+cached once per packed monomial.
 
 One reduction kernel serves both fields.  It runs a max-heap over the
 pending monomials of the working polynomial.  A pending coefficient is
@@ -52,15 +56,11 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exactmath.fields import PrimeField, QQ, field_from_name
-from .exactmath.orders import GREVLEX, BlockElim, GrevLex, Lex, MonomialOrder
+from .exactmath.orders import _FIELD_MASK, _W, GREVLEX, BlockElim, _check_fields
 from .exactmath.parse import parse_polynomial
 from .exactmath.poly import Polynomial, PolyRing
 
 DEFAULT_BUDGET = 1_000_000
-
-_W = 24
-_FIELD_MASK = (1 << _W) - 1
-_EXP_LIMIT = 1 << (_W - 1)
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -162,7 +162,6 @@ class _Engine:
         self.steps = steps  # steps already spent against the same budget
         self.guard = sum(1 << (_W * i + _W - 1) for i in range(self.n))
         self._keyd: dict = {}  # descending sort keys, shared by sub-engines
-        self._key_fn = _packed_key_asc(ring.order, self.n)
         # monomial -> first live reducer index, or ~k after a miss over the
         # first k members (see find_reducer)
         self._reducers: dict = {}
@@ -180,12 +179,9 @@ class _Engine:
 
     # -- encoding ----------------------------------------------------------
     def encode(self, mon) -> int:
+        _check_fields(mon)
         e = 0
         for i, v in enumerate(mon):
-            if v >= _EXP_LIMIT:
-                raise OverflowError(
-                    f"exponent {v} too large for packed monomials "
-                    f"(at most {_EXP_LIMIT - 1})")
             e |= v << (_W * i)
         return e
 
@@ -195,7 +191,7 @@ class _Engine:
     def keyd(self, enc: int) -> int:
         k = self._keyd.get(enc)
         if k is None:
-            k = -self._key_fn(enc)
+            k = self.ring.order.key_desc(self.decode(enc))
             self._keyd[enc] = k
         return k
 
@@ -396,41 +392,6 @@ class _Engine:
             else:
                 del d[te]
         return d
-
-
-def _packed_key_asc(order: MonomialOrder, n: int):
-    """Ascending comparison key on packed monomials, always a single int."""
-
-    def decode(enc):
-        return [(enc >> (_W * i)) & _FIELD_MASK for i in range(n)]
-
-    def grevlex_int(e) -> int:
-        k = sum(e)
-        for i in range(len(e) - 1, -1, -1):
-            k = (k << _W) | (_FIELD_MASK - e[i])
-        return k
-
-    if isinstance(order, BlockElim):
-        split = order.k
-        # room for the tail key including its degree field
-        tail_shift = _W * (n - split) + 64
-
-        def key(enc):
-            e = decode(enc)
-            return (grevlex_int(e[:split]) << tail_shift) + grevlex_int(e[split:])
-        return key
-    if isinstance(order, GrevLex):
-        def key(enc):
-            return grevlex_int(decode(enc))
-        return key
-    if isinstance(order, Lex):
-        def key(enc):
-            k = 0
-            for v in decode(enc):
-                k = (k << _W) | v
-            return k
-        return key
-    raise ValueError(f"unsupported monomial order {order!r}")
 
 
 def _resolve_ring(gens: Sequence[Polynomial], ring: PolyRing | None) -> PolyRing:

@@ -106,9 +106,7 @@ def mod_p_irreducible(int_coeffs: Sequence[int], p: int) -> bool | None:
                 shift = len(a) - n
                 for i in range(n):
                     a[shift + i] = (a[shift + i] - c * f[i]) % p
-        while a and a[-1] == 0:
-            a.pop()
-        return a or [0]
+        return dense_trim(a) or [0]
 
     def xpow_pk(k: int):
         # x^(p^k) mod f by binary powering on the exponent
@@ -123,14 +121,9 @@ def mod_p_irreducible(int_coeffs: Sequence[int], p: int) -> bool | None:
                 base = mulmod(base, base)
         return result
 
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
     def gcd_p(a, b):
-        a = trim([c % p for c in a])
-        b = trim([c % p for c in b])
+        a = dense_trim([c % p for c in a])
+        b = dense_trim([c % p for c in b])
         while b:
             inv = pow(b[-1], p - 2, p)
             r = a[:]
@@ -141,8 +134,7 @@ def mod_p_irreducible(int_coeffs: Sequence[int], p: int) -> bool | None:
                     for i in range(len(b) - 1):
                         r[shift + i] = (r[shift + i] - c * b[i]) % p
                 r.pop()
-                trim(r)
-            a, b = b, trim(r)
+            a, b = b, dense_trim(r)
         return a
 
     # Rabin: f irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1

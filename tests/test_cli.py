@@ -208,6 +208,18 @@ class TestDegreeCommand:
                            "--homogeneous")
         assert code == 1
 
+    def test_singular_points_name_the_replica(self, capsys):
+        # over F_2 the third replica (seed 7) meets a singular point on all
+        # six draws; the error names it and gives no advice the command
+        # cannot take
+        code, out, err = run(capsys, "degree", "--n", "2", "--d", "2",
+                             "--prime", "2", "--seed", "5", "--homogeneous")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: singular point after 6 draw(s) of replica "
+                       "seed 7 over F_2; degree runs measure at smooth "
+                       "points only\n")
+
 
 class TestFormulaCommand:
     CASES = [

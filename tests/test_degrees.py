@@ -184,6 +184,16 @@ class TestExperiments:
         assert exp.degree == 4
         assert exp.stable
 
+    def test_modp_singular_point_is_not_reseeded(self):
+        # the point is fixed, so one draw settles it
+        spec = IdealSpec.from_strings(("x1", "x2"), ["x1^3 - x2^2"],
+                                      field="Fp:32003")
+        with pytest.raises(SingularPointError) as err:
+            voronoi_degree_modp(spec, (0, 0), seed=4)
+        assert str(err.value) == (
+            "singular point after 1 draw(s) of replica seed 4 over F_32003;"
+            " degree runs measure at smooth points only")
+
     def test_reseeded_replica_reports_its_accepted_hypersurface(
             self, monkeypatch):
         # replica 0 fails once, so its hypersurface comes from the reseed

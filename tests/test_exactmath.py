@@ -1,6 +1,7 @@
 """Fields, orders, polynomial arithmetic, parsing, and Sturm isolation."""
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -31,6 +32,32 @@ from voronoi_cells.exactmath.sturm import (
 
 def ring(*names, field=QQ, order=GREVLEX):
     return PolyRing(names, field=field, order=order)
+
+
+# the textbook comparisons, -1 / 0 / 1 as a is smaller / equal / bigger
+def lex_cmp(a, b):
+    for x, y in zip(a, b):
+        if x != y:
+            return 1 if x > y else -1
+    return 0
+
+
+def grevlex_cmp(a, b):
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def block_cmp(k):
+    def cmp(a, b):
+        return grevlex_cmp(a[:k], b[:k]) or grevlex_cmp(a[k:], b[k:])
+    return cmp
+
+
+EXP_LIMIT = 1 << 23
 
 
 class TestFields:
@@ -80,6 +107,40 @@ class TestOrders:
             asc = sorted(mons, key=order.key_asc)
             desc = sorted(mons, key=order.key_desc)
             assert asc == desc[::-1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_keys_sort_like_the_textbook_orders(self, n):
+        rng = random.Random(n)
+        # small exponents force ties in the degree and in single fields;
+        # large ones reach the top of the 24-bit fields
+        pools = (range(3), range(EXP_LIMIT - 3, EXP_LIMIT),
+                 range(EXP_LIMIT))
+        mons = [tuple(rng.choice(rng.choice(pools)) for _ in range(n))
+                for _ in range(300)]
+        cases = [(LEX, lex_cmp), (GREVLEX, grevlex_cmp)]
+        cases += [(BlockElim(k), block_cmp(k)) for k in range(n + 1)]
+        for order, cmp in cases:
+            asc = sorted(mons, key=order.key_asc)
+            assert asc == sorted(mons, key=cmp_to_key(cmp)), order
+            assert sorted(mons, key=order.key_desc) == asc[::-1], order
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exponent_limit(self, n):
+        orders = [LEX, GREVLEX] + [BlockElim(k) for k in range(n + 1)]
+        for order in orders:
+            order.key_asc((EXP_LIMIT - 1,) * n)
+            for i in range(n):
+                mon = tuple(EXP_LIMIT if j == i else 0 for j in range(n))
+                with pytest.raises(OverflowError):
+                    order.key_asc(mon)
+                with pytest.raises(OverflowError):
+                    order.key_desc(mon)
+
+    def test_polynomial_overflows_when_its_terms_are_ordered(self):
+        R = ring("x", "y")
+        f = R.from_terms({(EXP_LIMIT, 0): QQ.one, (0, 1): QQ.one})
+        with pytest.raises(OverflowError):
+            f.leading_monomial()
 
 
 class TestPolynomialArithmetic:
