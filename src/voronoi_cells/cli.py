@@ -341,45 +341,26 @@ def cmd_degree(args) -> int:
 # ---------------------------------------------------------------------------
 # formula
 
-def _require(args, names: list[str], formula: str) -> list[int]:
-    values = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            raise InputError(f"formula {formula!r} needs --{name}")
-        values.append(value)
-    return values
+# each formula's evaluator and the options it takes, in argument order
+FORMULAS = {
+    "curve": (formula_curve, ("d", "g")),
+    "surface": (formula_surface, ("d", "chi", "g2")),
+    "cone": (formula_cone, ("d", "g")),
+    "conjecture": (conjecture_hypersurface, ("n", "d", "homogeneous")),
+    "lowrank": (lowrank_voronoi_degree, ("rows", "cols", "rank")),
+    "plane-genus": (plane_curve_genus, ("d",)),
+}
 
 
 def cmd_formula(args) -> int:
     name = args.name
+    evaluate, options = FORMULAS[name]
+    params = {option: getattr(args, option) for option in options}
+    for option in options:
+        if params[option] is None:
+            raise InputError(f"formula {name!r} needs --{option}")
     try:
-        if name == "curve":
-            d, g = _require(args, ["d", "g"], name)
-            value = formula_curve(d, g)
-            params = {"d": d, "g": g}
-        elif name == "surface":
-            d, chi, g2 = _require(args, ["d", "chi", "g2"], name)
-            value = formula_surface(d, chi, g2)
-            params = {"d": d, "chi": chi, "g2": g2}
-        elif name == "cone":
-            d, g = _require(args, ["d", "g"], name)
-            value = formula_cone(d, g)
-            params = {"d": d, "g": g}
-        elif name == "conjecture":
-            n, d = _require(args, ["n", "d"], name)
-            value = conjecture_hypersurface(n, d, args.homogeneous)
-            params = {"n": n, "d": d, "homogeneous": args.homogeneous}
-        elif name == "lowrank":
-            rows, cols, rank = _require(args, ["rows", "cols", "rank"], name)
-            value = lowrank_voronoi_degree(rows, cols, rank)
-            params = {"rows": rows, "cols": cols, "rank": rank}
-        elif name == "plane-genus":
-            (d,) = _require(args, ["d"], name)
-            value = plane_curve_genus(d)
-            params = {"d": d}
-        else:  # argparse choices make this unreachable
-            raise InputError(f"unknown formula {name!r}")
+        value = evaluate(*params.values())
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     body = {
@@ -603,8 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formula", parents=[common],
                        help="closed-form Voronoi degree formulas")
-    p.add_argument("name", choices=["curve", "surface", "cone", "conjecture",
-                                    "lowrank", "plane-genus"])
+    p.add_argument("name", choices=list(FORMULAS))
     p.add_argument("--d", type=int)
     p.add_argument("--g", type=int)
     p.add_argument("--chi", type=int)

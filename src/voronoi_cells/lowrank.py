@@ -7,10 +7,13 @@ bounded by sigma_r(V) in the spectral norm.  This module wraps the
 decomposition (LAPACK's SVD, through NumPy) with a deterministic sign
 convention, and implements Eckart-Young truncation, the exact
 cell-membership test, and the symmetric variant where the Frobenius
-geometry restricts to eigenvalue conditions.
+geometry restricts to eigenvalue conditions.  Both membership tests share
+one rank check and one block verdict; they differ only in the frame (the
+singular or the eigen frame of V) and in the norm of the free block.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +91,7 @@ def svd(matrix) -> SVDFactors:
 
 
 def spectral_norm(matrix) -> float:
-    a = _as_matrix(matrix)
-    if a.size == 0:
-        return 0.0
-    return float(svd(a).values[0])
+    return float(np.linalg.norm(_as_matrix(matrix), 2))
 
 
 def eckart_young_truncate(matrix, r: int) -> np.ndarray:
@@ -106,15 +106,48 @@ def eckart_young_truncate(matrix, r: int) -> np.ndarray:
     return (factors.sigma1[:, :k] * vals) @ factors.sigma2[:k, :]
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
+def _check_rank(magnitudes: np.ndarray, r: int, tol: float) -> None:
+    """Require exactly r of the nonincreasing magnitudes above tol."""
+    _check_tol(tol)
+    k = len(magnitudes)
+    if not (1 <= r <= k and magnitudes[r - 1] > tol) or (
+            r < k and magnitudes[r] > tol):
+        raise ValueError(f"matrix is not of rank {r} within tolerance")
+
+
+def _block_verdict(aligned: np.ndarray, diagonal: np.ndarray, tol: float,
+                   free_norm) -> str:
+    """Classify U, written in V's frame where V is diag(diagonal) padded
+    with zeros: the top block must match, both mixed blocks vanish, and
+    free_norm of the free block is compared with |diagonal[-1]|."""
+    r = len(diagonal)
+    if np.abs(aligned[:r, :r] - np.diag(diagonal)).max() > tol:
+        return "outside"
+    if max(np.abs(aligned[:r, r:]).max(initial=0.0),
+           np.abs(aligned[r:, :r]).max(initial=0.0)) > tol:
+        return "outside"
+    free = aligned[r:, r:]
+    if free.size == 0:
+        return "inside"
+    value, radius = free_norm(free), abs(diagonal[-1])
+    if value < radius - tol:
+        return "inside"
+    if value <= radius + tol:
+        return "boundary"
+    return "outside"
+
+
 def describe_cell(v_matrix, r: int, tol: float = DEFAULT_TOL):
     """Validate rank(V) = r and return (factors of V, CellDescription)."""
     v = _as_matrix(v_matrix)
     factors = svd(v)
     vals = factors.values
-    if r < 1 or r > len(vals) or vals[r - 1] <= tol:
-        raise ValueError(f"matrix is not of rank {r} within tolerance")
-    if r < len(vals) and vals[r] > tol:
-        raise ValueError(f"matrix is not of rank {r} within tolerance")
+    _check_rank(vals, r, tol)
     m, n = v.shape
     return factors, CellDescription(vals[:r].copy(), (m - r, n - r),
                                     float(vals[r - 1]))
@@ -128,7 +161,8 @@ def cell_membership(u_matrix, v_matrix, r: int,
     reproduce V's singular values, the mixed blocks to vanish, and the
     free block to stay inside the spectral ball of radius sigma_r(V).
     Returns "inside", "boundary" (within tol of the ball's sphere), or
-    "outside".
+    "outside".  A tol that is not finite and nonnegative raises
+    ValueError.
     """
     u = _as_matrix(u_matrix)
     v = _as_matrix(v_matrix)
@@ -136,25 +170,7 @@ def cell_membership(u_matrix, v_matrix, r: int,
         raise ValueError("shape mismatch")
     factors, cell = describe_cell(v, r, tol)
     aligned = factors.sigma1.T @ u @ factors.sigma2.T
-    top = aligned[:r, :r] - np.diag(cell.aligned_diagonal)
-    if np.abs(top).max() > tol:
-        return "outside"
-    if aligned[:r, r:].size and np.abs(aligned[:r, r:]).max() > tol:
-        return "outside"
-    if aligned[r:, :r].size and np.abs(aligned[r:, :r]).max() > tol:
-        return "outside"
-    free = aligned[r:, r:]
-    if free.size == 0:
-        return "inside"
-    return _classify_against_radius(spectral_norm(free), cell.radius, tol)
-
-
-def spectral_ball_membership(matrix, radius: float,
-                             tol: float = DEFAULT_TOL) -> bool:
-    """Whether the matrix lies in the spectral-norm ball of the radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return spectral_norm(matrix) <= radius + tol
+    return _block_verdict(aligned, cell.aligned_diagonal, tol, spectral_norm)
 
 
 def symmetric_frobenius_membership(v_matrix, u_matrix, r: int,
@@ -163,8 +179,10 @@ def symmetric_frobenius_membership(v_matrix, u_matrix, r: int,
 
     V must be symmetric of rank r; the test works in V's eigenframe and
     compares the complementary block's extreme eigenvalue magnitude with
-    V's smallest nonzero eigenvalue magnitude.
+    V's smallest nonzero eigenvalue magnitude.  A tol that is not finite
+    and nonnegative raises ValueError before the symmetry checks use it.
     """
+    _check_tol(tol)
     v = _as_matrix(v_matrix)
     u = _as_matrix(u_matrix)
     for name, mat in (("V", v), ("U", u)):
@@ -174,30 +192,10 @@ def symmetric_frobenius_membership(v_matrix, u_matrix, r: int,
         raise ValueError("shape mismatch")
 
     eigvals, eigvecs = np.linalg.eigh(v)
-    order = sorted(range(len(eigvals)), key=lambda i: (-abs(eigvals[i]), i))
+    order = np.argsort(-np.abs(eigvals), kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    if r < 1 or r > len(eigvals) or abs(eigvals[r - 1]) <= tol:
-        raise ValueError(f"matrix is not of rank {r} within tolerance")
-    if r < len(eigvals) and abs(eigvals[r]) > tol:
-        raise ValueError(f"matrix is not of rank {r} within tolerance")
-
-    aligned = eigvecs.T @ u @ eigvecs
-    top = aligned[:r, :r] - np.diag(eigvals[:r])
-    if np.abs(top).max() > tol:
-        return "outside"
-    if aligned[:r, r:].size and np.abs(aligned[:r, r:]).max() > tol:
-        return "outside"
-    free = aligned[r:, r:]
-    if free.size == 0:
-        return "inside"
-    extreme = float(np.abs(np.linalg.eigvalsh(free)).max())
-    return _classify_against_radius(extreme, abs(eigvals[r - 1]), tol)
-
-
-def _classify_against_radius(value: float, radius: float, tol: float) -> str:
-    if value < radius - tol:
-        return "inside"
-    if value <= radius + tol:
-        return "boundary"
-    return "outside"
+    _check_rank(np.abs(eigvals), r, tol)
+    return _block_verdict(
+        eigvecs.T @ u @ eigvecs, eigvals[:r], tol,
+        lambda free: float(np.abs(np.linalg.eigvalsh(free)).max()))

@@ -14,6 +14,10 @@ produced here.  A member carries multipliers whose matrix inequality
 holds to within tol; a non-member found by the Newton solve carries a
 dual matrix that bounds the largest eigenvalue away from zero for every
 choice of multipliers, so it is a proof.
+
+Gradients come from the lift's stacked ``hessians`` (q, N, N) and
+``linear`` (q, N) arrays, and the LMI engine's facial reduction folds
+every vanishing diagonal of a scan at once, with one solve per scan.
 """
 from __future__ import annotations
 
@@ -30,17 +34,6 @@ from .voronoi import PointNotOnVarietyError
 DEFAULT_SDP_TOL = 1e-7
 MAX_LIFT_DIMENSION = 60
 _RANK_EPS = 1e-12
-
-
-def _evaluate_float(f: Polynomial, point) -> float:
-    total = 0.0
-    for mon, coeff in f.terms.items():
-        term = float(coeff)
-        for i, e in enumerate(mon):
-            if e:
-                term *= float(point[i]) ** e
-        total += term
-    return total
 
 
 def _veronese_indices(n: int, d: int):
@@ -86,35 +79,6 @@ class LiftedQuadric:
 
     terms: dict
 
-    def hessian(self, size: int) -> np.ndarray:
-        h = np.zeros((size, size))
-        for key, coeff in self.terms.items():
-            if len(key) != 2:
-                continue
-            i, j = key
-            c = float(coeff)
-            if i == j:
-                h[i, i] += 2.0 * c
-            else:
-                h[i, j] += c
-                h[j, i] += c
-        return h
-
-    def gradient_at(self, z: np.ndarray) -> np.ndarray:
-        g = np.zeros(len(z))
-        for key, coeff in self.terms.items():
-            c = float(coeff)
-            if len(key) == 1:
-                g[key[0]] += c
-            elif len(key) == 2:
-                i, j = key
-                if i == j:
-                    g[i] += 2.0 * c * z[i]
-                else:
-                    g[i] += c * z[j]
-                    g[j] += c * z[i]
-        return g
-
     def pullback(self, ring, indices) -> Polynomial:
         """Substitute z_alpha = x^alpha, landing back in the source ring."""
         field = ring.field
@@ -134,8 +98,11 @@ class VeroneseLift:
     """All quadratic data of a variety pushed through a Veronese embedding.
 
     ``quadrics`` holds the lifted defining equations first, then the
-    coordinate relations; ``hessians`` aligns with it.  The distance
-    Hessian is 2I on the linear coordinates and zero elsewhere.
+    coordinate relations.  Quadric i is c_i + linear[i] . z
+    + (1/2) z^T hessians[i] z, so ``hessians`` stacks their Hessians in a
+    (q, N, N) array and ``linear`` their linear parts in a (q, N) array.
+    The distance Hessian is 2I on the linear coordinates and zero
+    elsewhere.
     """
 
     indices: tuple
@@ -145,20 +112,17 @@ class VeroneseLift:
     quadrics: tuple
     lifted_count: int
     relation_count: int
-    hessians: tuple
+    hessians: np.ndarray
+    linear: np.ndarray
     distance_hessian: np.ndarray
 
     def point(self, y) -> np.ndarray:
-        z = np.ones(self.dimension)
-        for pos, alpha in enumerate(self.indices):
-            for i, e in enumerate(alpha):
-                if e:
-                    z[pos] *= float(y[i]) ** e
-        return z
+        y = np.asarray(y, dtype=float)
+        return np.prod(y ** np.array(self.indices), axis=1)
 
     def jacobian_at(self, y) -> np.ndarray:
-        z = self.point(y)
-        return np.column_stack([q.gradient_at(z) for q in self.quadrics])
+        """Column i is the gradient of quadric i at the lift of y."""
+        return (self.hessians @ self.point(y) + self.linear).T
 
 
 def veronese_lift(polys, n: int, d: int) -> VeroneseLift:
@@ -221,9 +185,17 @@ def veronese_lift(polys, n: int, d: int) -> VeroneseLift:
             raise RuntimeError("coordinate relation does not hold")
 
     quadrics = tuple(lifted) + tuple(relations)
-    distance = np.zeros((dimension, dimension))
-    for i in range(n):
-        distance[i, i] = 2.0
+    hessians = np.zeros((len(quadrics), dimension, dimension))
+    linear = np.zeros((len(quadrics), dimension))
+    for q, quadric in enumerate(quadrics):
+        for key, coeff in quadric.terms.items():
+            if len(key) == 1:
+                linear[q, key[0]] = float(coeff)
+            elif len(key) == 2:
+                i, j = key
+                hessians[q, i, j] = hessians[q, j, i] = (
+                    float(coeff) * (2.0 if i == j else 1.0))
+    distance = np.diag([2.0] * n + [0.0] * (dimension - n))
     return VeroneseLift(
         indices=indices,
         dimension=dimension,
@@ -232,16 +204,21 @@ def veronese_lift(polys, n: int, d: int) -> VeroneseLift:
         quadrics=quadrics,
         lifted_count=len(lifted),
         relation_count=len(relations),
-        hessians=tuple(q.hessian(dimension) for q in quadrics),
+        hessians=hessians,
+        linear=linear,
         distance_hessian=distance,
     )
 
 
 @dataclass(eq=False)
 class LMIFeasibilityProblem:
-    """Find lam with sum lam_i B_i <= C subject to E lam = e."""
+    """Find lam with sum lam_i B_i <= C subject to E lam = e.
 
-    lhs: tuple
+    ``lhs`` holds the B_i: a (k, n, n) array or a sequence of n x n
+    matrices.
+    """
+
+    lhs: np.ndarray | tuple
     rhs: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
@@ -313,17 +290,19 @@ def lmi_feasible(problem: LMIFeasibilityProblem) -> LMIResult:
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("right-hand side must be a square matrix")
     size = c.shape[0]
-    bs = []
-    for b in problem.lhs:
-        b = np.asarray(b, dtype=float)
-        if b.shape != (size, size):
-            raise ValueError("constraint matrices must match the rhs size")
-        if np.abs(b - b.T).max(initial=0.0) > 1e-9:
-            raise ValueError("constraint matrices must be symmetric")
-        bs.append(b)
+    k = len(problem.lhs)
+    try:
+        stack = np.asarray(problem.lhs, dtype=float)
+    except ValueError:  # the matrices differ in shape
+        stack = np.zeros(0)
+    if not k:
+        stack = np.zeros((0, size, size))
+    if stack.shape != (k, size, size):
+        raise ValueError("constraint matrices must match the rhs size")
+    if np.abs(stack - stack.transpose(0, 2, 1)).max(initial=0.0) > 1e-9:
+        raise ValueError("constraint matrices must be symmetric")
     if np.abs(c - c.T).max(initial=0.0) > 1e-9:
         raise ValueError("right-hand side must be symmetric")
-    k = len(bs)
     eq_matrix = np.asarray(problem.eq_matrix, dtype=float)
     if eq_matrix.size == 0:
         eq_matrix = eq_matrix.reshape(0, k)
@@ -342,46 +321,36 @@ def lmi_feasible(problem: LMIFeasibilityProblem) -> LMIResult:
 
     # facial reduction: whenever a diagonal entry of sum lam_i B_i - C
     # vanishes identically on the constraint subspace, feasibility forces
-    # that whole row to zero; fold the row into the equalities and drop
-    # the coordinate so strict feasibility regains an interior
-    active = list(range(size))
-    extra_rows = []
-    extra_rhs = []
-    reducing = True
-    while reducing:
-        reducing = False
-        for j in active:
-            diag_coeffs = np.array([b[j, j] for b in bs])
-            value = float(diag_coeffs @ lam0) - c[j, j]
-            slope = basis.T @ diag_coeffs if basis.shape[1] else np.zeros(0)
-            if abs(value) > 1e-12 or np.abs(slope).max(initial=0.0) > 1e-12:
-                continue
-            for i in active:
-                if i == j:
-                    continue
-                extra_rows.append(np.array([b[i, j] for b in bs]))
-                extra_rhs.append(c[i, j])
-            active.remove(j)
-            augmented = np.vstack([eq_matrix] + [r.reshape(1, -1)
-                                                 for r in extra_rows])
-            solved = _affine_solution(augmented, np.concatenate(
-                [eq_rhs, np.array(extra_rhs)]), k)
-            if solved is None:
-                return LMIResult("infeasible", None, math.inf, 0,
-                                 "zero-diagonal-row")
-            lam0, basis = solved
-            reducing = True
+    # that whole row to zero; each scan folds the rows of every such entry
+    # into the equalities, each symmetric pair once, and drops their
+    # coordinates so strict feasibility regains an interior
+    active = np.arange(size)
+    rows, rows_rhs = [eq_matrix], [eq_rhs]
+    while active.size:
+        diag = stack[:, active, active]
+        value = lam0 @ diag - c[active, active]
+        slope = np.abs(basis.T @ diag).max(axis=0, initial=0.0)
+        flat = (np.abs(value) <= 1e-12) & (slope <= 1e-12)
+        if not flat.any():
             break
-    if not active:
+        j, i = np.meshgrid(active[flat], active, indexing="ij")
+        pair = ~flat | (i > j)
+        rows.append(stack[:, i[pair], j[pair]].T)
+        rows_rhs.append(c[i[pair], j[pair]])
+        active = active[~flat]
+        solved = _affine_solution(np.vstack(rows), np.concatenate(rows_rhs),
+                                  k)
+        if solved is None:
+            return LMIResult("infeasible", None, math.inf, 0,
+                             "zero-diagonal-row")
+        lam0, basis = solved
+    if not active.size:
         # the matrix inequality reduced away entirely
         return LMIResult("feasible", lam0.copy(), 0.0, 0)
-    if len(active) < size:
-        keep = np.asarray(active)
-        bs = [b[np.ix_(keep, keep)] for b in bs]
-        c = c[np.ix_(keep, keep)]
-        size = len(active)
+    stack = stack[:, active[:, None], active]
+    c = c[np.ix_(active, active)]
+    size = active.size
 
-    stack = np.stack(bs) if k else np.zeros((0, size, size))
     m0 = np.tensordot(lam0, stack, axes=1) - c
     w, vecs = np.linalg.eigh(m0)
     best = float(w[-1])
@@ -481,8 +450,12 @@ _STATUS = {"feasible": "member", "infeasible": "non-member",
            "inconclusive": "inconclusive"}
 
 
-def _check_on_variety(polys, y, tol: float):
-    worst = max(abs(_evaluate_float(f, y)) for f in polys)
+def _check_on_variety(lift: VeroneseLift, y, tol: float):
+    # the lifted equations reproduce the defining ones at the lift of y
+    q, z = lift.lifted_count, lift.point(y)
+    values = (np.array([float(f.terms.get((), 0)) for f in lift.quadrics[:q]])
+              + lift.linear[:q] @ z + 0.5 * (lift.hessians[:q] @ z) @ z)
+    worst = float(np.abs(values).max())
     if worst > max(tol, 1e-9):
         raise PointNotOnVarietyError(
             f"base point misses the variety by {worst:.3g}")
@@ -515,7 +488,7 @@ def leveld_membership(polys, y, u, d: int, tol: float = DEFAULT_SDP_TOL,
     if y.shape != (n,) or u.shape != (n,):
         raise ValueError("points must match the ring's variable count")
     lift = veronese_lift(polys, n, d)
-    _check_on_variety(polys, y, tol)
+    _check_on_variety(lift, y, tol)
     jac = lift.jacobian_at(y)
     eq_matrix = np.vstack([0.5 * jac[:n, :], jac[n:, :]])
     eq_rhs = np.concatenate([y - u, np.zeros(lift.dimension - n)])

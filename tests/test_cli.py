@@ -277,6 +277,28 @@ class TestLowrankCommand:
         assert code == 4
         assert body["status"] == "boundary"
 
+    @pytest.mark.parametrize("metric", [(), ("--frobenius",)],
+                             ids=["spectral", "frobenius"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"],
+                             ids=["nan-tol", "infinite-tol", "negative-tol"])
+    def test_bad_tolerance(self, capsys, tol, metric):
+        # a NaN tolerance used to accept this rank-2 V as rank 1
+        code, out, err = run(capsys, "lowrank", "--v", "[[3,0],[0,2]]",
+                             "--u", "[[3,0],[0,1]]", "--rank", "1",
+                             f"--tol={tol}", *metric)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "tol must be finite and nonnegative" in err
+
+    def test_zero_tolerance(self, capsys):
+        for metric in ((), ("--frobenius",)):
+            code, body, _ = run_json(capsys, "lowrank", "--v", self.V,
+                                     "--u", '[[3,0,0],[0,0,0],[0,0,2]]',
+                                     "--rank", "1", "--tol", "0", *metric)
+            assert code == 0
+            assert body["status"] == "inside"
+
     def test_csv_matrix_file(self, capsys, tmp_path):
         upath = tmp_path / "u.csv"
         upath.write_text("3,0,0\n0,0,0\n0,0,2\n")

@@ -7,7 +7,6 @@ from voronoi_cells.lowrank import (
     cell_membership,
     describe_cell,
     eckart_young_truncate,
-    spectral_ball_membership,
     spectral_norm,
     svd,
     symmetric_frobenius_membership,
@@ -269,21 +268,33 @@ class TestCellMembership:
         assert cell_membership(v + 0.1, v, 2) == "outside"
 
 
-class TestSpectralBall:
-    def test_golden_cases(self):
-        assert spectral_ball_membership(np.zeros((2, 2)), 1.0)
-        assert spectral_ball_membership(np.diag([1.0, 0.5]), 1.0)
-        assert not spectral_ball_membership(np.diag([1.2, 0.5]), 1.0)
+class TestTolerance:
+    V = np.diag([3.0, 2.0])
+    U = np.diag([3.0, 1.0])
 
-    def test_scaled_orthogonal_sits_on_sphere(self):
-        rng = np.random.default_rng(47)
-        q = random_orthogonal(3, rng)
-        assert spectral_ball_membership(2.0 * q, 2.0)
-        assert not spectral_ball_membership(2.1 * q, 2.0)
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        # NaN compares false with everything, so it used to pass the rank
+        # check and accept this rank-2 V as rank 1
+        for call in (lambda: describe_cell(self.V, 1, tol),
+                     lambda: cell_membership(self.U, self.V, 1, tol),
+                     lambda: symmetric_frobenius_membership(
+                         self.V, self.U, 1, tol)):
+            with pytest.raises(ValueError,
+                               match="tol must be finite and nonnegative"):
+                call()
 
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            spectral_ball_membership(np.eye(2), 0.0)
+    def test_asymmetric_input_with_bad_tolerance_names_the_tolerance(self):
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(ValueError, match="tol must be finite"):
+            symmetric_frobenius_membership(skew, self.U, 1, -1.0)
+
+    def test_zero_tolerance_is_valid(self):
+        v = np.diag([3.0, 0.0])
+        u = np.diag([3.0, 2.0])
+        assert describe_cell(v, 1, 0.0)[1].radius == 3.0
+        assert cell_membership(u, v, 1, 0.0) == "inside"
+        assert symmetric_frobenius_membership(v, u, 1, 0.0) == "inside"
 
 
 class TestSymmetricFrobenius:

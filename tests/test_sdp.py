@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from voronoi_cells import sdp
 from voronoi_cells.exactmath import PolyRing, parse_polynomial
 from voronoi_cells.sdp import (
     DEFAULT_SDP_TOL,
@@ -337,6 +338,24 @@ class TestLMIEngine:
                 eq_matrix=np.ones((1, 3)), eq_rhs=np.ones(1)))
 
 
+def random_lifts():
+    """Seeded random polynomials f in 1-3 variables, with their lifts of
+    degree 1-3: yields (ring, f, lift)."""
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3):
+        ring = PolyRing(tuple(f"x{i+1}" for i in range(n)))
+        for d in (1, 2, 3):
+            mons = [tuple(int(e) for e in mon)
+                    for mon in rng.integers(0, 2 * d + 1, size=(8, n))
+                    if 0 < sum(mon) <= 2 * d]
+            if not mons:
+                continue
+            terms = {mon: Fraction(int(rng.integers(-5, 6)) or 1)
+                     for mon in mons}
+            f = ring.from_terms(terms)
+            yield ring, f, veronese_lift([f], n, d)
+
+
 class TestVeroneseLift:
     def test_smallest_lift(self):
         ring = PolyRing(("x1",))
@@ -398,20 +417,36 @@ class TestVeroneseLift:
             veronese_lift([ring.variable(0)], 4, 4)  # needs 69 coordinates
 
     def test_randomized_lift_reproduces_inputs(self):
-        rng = np.random.default_rng(17)
-        for n in (1, 2, 3):
-            ring = PolyRing(tuple(f"x{i+1}" for i in range(n)))
-            for d in (1, 2, 3):
-                mons = [tuple(int(e) for e in mon)
-                        for mon in rng.integers(0, 2 * d + 1, size=(8, n))
-                        if 0 < sum(mon) <= 2 * d]
-                if not mons:
-                    continue
-                terms = {mon: Fraction(int(rng.integers(-5, 6)) or 1)
-                         for mon in mons}
-                f = ring.from_terms(terms)
-                lift = veronese_lift([f], n, d)
-                assert lift.quadrics[0].pullback(ring, lift.indices) == f
+        for ring, f, lift in random_lifts():
+            assert lift.quadrics[0].pullback(ring, lift.indices) == f
+
+    def test_stacked_quadrics_match_the_exact_pullbacks(self):
+        # c_i + linear[i] . z + (1/2) z^T hessians[i] z at z = point(y)
+        # is quadric i at y, and column i of the Jacobian is its gradient
+        rng = np.random.default_rng(19)
+        checked = 0
+        for ring, _, lift in random_lifts():
+            q, size = len(lift.quadrics), lift.dimension
+            assert lift.hessians.shape == (q, size, size)
+            assert lift.linear.shape == (q, size)
+            for y in rng.uniform(-1.5, 1.5, size=(3, ring.nvars)):
+                z = lift.point(y)
+                jac = lift.jacobian_at(y)
+                for i, quadric in enumerate(lift.quadrics):
+                    pulled = quadric.pullback(ring, lift.indices)
+                    want = float(pulled.evaluate([Fraction(v) for v in y]))
+                    if i >= lift.lifted_count:
+                        assert want == 0.0
+                    scale = sum(abs(float(c)) * np.prod(np.abs(y) ** mon)
+                                for mon, c in pulled.terms.items())
+                    got = (float(quadric.terms.get((), 0))
+                           + lift.linear[i] @ z
+                           + 0.5 * z @ lift.hessians[i] @ z)
+                    assert abs(got - want) <= 1e-9 * max(1.0, scale)
+                    np.testing.assert_array_equal(
+                        jac[:, i], lift.hessians[i] @ z + lift.linear[i])
+                    checked += 1
+        assert checked > 100
 
 
 class TestLevelOne:
@@ -496,6 +531,31 @@ class TestLevelD:
     def test_base_point_is_a_member(self):
         res = leveld_membership([CARDIOID], CARDIOID_POINT, CARDIOID_POINT, 2)
         assert res.status == "member"
+
+    def test_deep_facial_reduction_on_the_circle(self, monkeypatch):
+        # the unit circle's cell at (1, 0) is the open ray x1 > 0 on the
+        # x1-axis; lifts of degree > 1 add coordinates that every
+        # certificate must pin to zero by facial reduction
+        circle = parse_polynomial("x1^2 + x2^2 - 1", RING2)
+        for level in range(1, 7):
+            for u1, want in ((0.5, "member"), (2.0, "member"),
+                             (3.5, "member"), (-0.5, "non-member"),
+                             (-1.5, "non-member")):
+                res = leveld_membership([circle], (1.0, 0.0), (u1, 0.0),
+                                        level)
+                assert res.status == want, (level, u1, res)
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return affine(*args)
+
+        affine = sdp._affine_solution
+        monkeypatch.setattr(sdp, "_affine_solution", counted)
+        res = leveld_membership([circle], (1.0, 0.0), (2.0, 0.0), 6)
+        assert res.status == "member"
+        # one solve per facial-reduction scan, not one per folded row
+        assert len(solves) <= 8
 
     def test_level_one_agreement(self):
         # the level-1 certificate written out by hand: Hessians of
