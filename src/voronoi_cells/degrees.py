@@ -30,6 +30,7 @@ from .groebner import (
 )
 from .voronoi import (
     SingularPointError,
+    _expected_codim,
     normal_space_at,
     parametric_critical_system,
 )
@@ -216,10 +217,11 @@ def _nonzero_coeffs(rng: random.Random, p: int, n: int) -> list[int]:
     return coeffs
 
 
-def _sliced_degree_once(spec: IdealSpec, point, codim: int, seed: int,
-                        budget) -> int:
+def _sliced_degree_once(spec: IdealSpec, point, seed: int, budget) -> int:
     """One pipeline run: slice, saturate by a random linear form, count.
 
+    The normal space has the codimension c of the variety as its dimension,
+    and c - 1 random affine slices cut the boundary down to points.
     Saturation by a single random linear combination of the displacement
     coordinates replaces the generator-by-generator saturation of the exact
     pipeline; over a large prime field the difference is a measure-zero
@@ -230,19 +232,18 @@ def _sliced_degree_once(spec: IdealSpec, point, codim: int, seed: int,
     p = field.p
     n = ring.nvars
     rng = random.Random(seed)
-    ns = normal_space_at(spec, point, codim=codim)
+    ns = normal_space_at(spec, point)
     k = ns.dimension
 
     slice_polys = []
-    for _ in range(codim - 1):
+    for _ in range(ns.expected_codim - 1):
         form = ns.u_ring.zero()
         for i, c in enumerate(_nonzero_coeffs(rng, p, n)):
             if c:
                 form = form + ns.u_ring.variable(i).scale(c)
         slice_polys.append(form + ns.u_ring.constant(rng.randrange(p)))
 
-    sring, _, gens = parametric_critical_system(spec, ns, codim=codim,
-                                                slices=slice_polys)
+    sring, gens = parametric_critical_system(spec, ns, slices=slice_polys)
     lin = sring.zero()
     for i, c in enumerate(_nonzero_coeffs(rng, p, n)):
         if c:
@@ -256,7 +257,7 @@ def _sliced_degree_once(spec: IdealSpec, point, codim: int, seed: int,
     return quotient_degree(parametric)
 
 
-def voronoi_degree_modp(spec: IdealSpec, point, *, codim: int | None = None,
+def voronoi_degree_modp(spec: IdealSpec, point, *,
                         seed: int = 0, replicas: int = 3,
                         budget: int | None = None) -> DegreeExperiment:
     """Measure the Voronoi degree of V(I) at y over its prime field.
@@ -270,11 +271,10 @@ def voronoi_degree_modp(spec: IdealSpec, point, *, codim: int | None = None,
     field = spec.ring.field
     if not isinstance(field, PrimeField):
         raise ValueError("degree experiments run over a prime field")
-    c = codim if codim is not None else (spec.codim or len(spec.generators))
-    runs = [_run_with_reseeds(lambda _: (spec, point), seed + i, field.p, c,
+    runs = [_run_with_reseeds(lambda _: (spec, point), seed + i, field.p,
                               budget, UnluckySliceError)[0]
             for i in range(replicas)]
-    return _stabilize(spec, point, c, seed, field.p, runs)
+    return _stabilize(spec, point, seed, field.p, runs)
 
 
 def hypersurface_degree_experiment(n: int, d: int, *,
@@ -293,15 +293,14 @@ def hypersurface_degree_experiment(n: int, d: int, *,
     """
     results = [_run_with_reseeds(
         lambda s: random_hypersurface(n, d, prime, s, homogeneous=homogeneous),
-        seed + i, prime, 1, budget, (SingularPointError, UnluckySliceError))
+        seed + i, prime, budget, (SingularPointError, UnluckySliceError))
         for i, prime in enumerate(primes)]
     _, spec, y = results[0]
-    return _stabilize(spec, y, 1, seed, primes[0],
+    return _stabilize(spec, y, seed, primes[0],
                       [run for run, _, _ in results])
 
 
-def _run_with_reseeds(draw, seed: int, prime: int, codim: int, budget,
-                      retry):
+def _run_with_reseeds(draw, seed: int, prime: int, budget, retry):
     """One replica: a degree run over F_prime with its reseeds.
 
     Attempt j uses the seed seed + 1000003 * j, both for draw(that seed),
@@ -315,7 +314,7 @@ def _run_with_reseeds(draw, seed: int, prime: int, codim: int, budget,
         run_seed = seed + 1000003 * attempt
         spec, point = draw(run_seed)
         try:
-            degree = _sliced_degree_once(spec, point, codim, run_seed, budget)
+            degree = _sliced_degree_once(spec, point, run_seed, budget)
             return (run_seed, prime, degree), spec, point
         except (SingularPointError, UnluckySliceError) as exc:
             if isinstance(exc, retry) and attempt < MAX_RESEEDS:
@@ -328,9 +327,9 @@ def _run_with_reseeds(draw, seed: int, prime: int, codim: int, budget,
             raise
 
 
-def _stabilize(spec, point, codim, seed, prime, runs) -> DegreeExperiment:
+def _stabilize(spec, point, seed, prime, runs) -> DegreeExperiment:
     counts = Counter(deg for _, _, deg in runs)
     degree, _ = counts.most_common(1)[0]
     stable = len(counts) == 1
-    return DegreeExperiment(spec, tuple(point), codim, seed, prime,
-                            degree, stable, tuple(runs))
+    return DegreeExperiment(spec, tuple(point), _expected_codim(spec), seed,
+                            prime, degree, stable, tuple(runs))

@@ -82,8 +82,10 @@ class NotZeroDimensionalError(ValueError):
 class IdealSpec:
     """A polynomial ideal given by explicit generators.
 
-    ``codim`` is an optional expected codimension hint used by downstream
-    consumers; an empty generator tuple denotes the zero ideal.
+    ``codim`` is the codimension of the variety, the dimension of its
+    normal spaces; it defaults to the number of generators and is the only
+    place a codimension is declared.  An empty generator tuple denotes the
+    zero ideal.
     """
 
     ring: PolyRing
@@ -165,16 +167,11 @@ class _Engine:
         # monomial -> first live reducer index, or ~k after a miss over the
         # first k members (see find_reducer)
         self._reducers: dict = {}
-        # short divisibility masks: bit set when a variable exponent reaches
-        # a power-of-two threshold, so most non-divisors fail one int test
-        self._mask_bits = max(1, min(6, 62 // max(self.n, 1)))
-        self._masks: dict = {}
         # basis storage: parallel lists over insertion index; blc holds the
         # leading coefficients (1 over F_p, where members are monic)
         self.blt: list[int] = []
         self.blc: list[int] = []
         self.btail: list[list] = []
-        self.bmask: list[int] = []
         self.alive: list[bool] = []
 
     # -- encoding ----------------------------------------------------------
@@ -200,22 +197,6 @@ class _Engine:
 
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
-
-    def mask(self, enc: int) -> int:
-        m = self._masks.get(enc)
-        if m is None:
-            m = 0
-            bits = self._mask_bits
-            for i in range(self.n):
-                e = (enc >> (_W * i)) & _FIELD_MASK
-                base = i * bits
-                for j in range(bits):
-                    if e >= (1 << j):
-                        m |= 1 << (base + j)
-                    else:
-                        break
-            self._masks[enc] = m
-        return m
 
     def lcm(self, a: int, b: int) -> int:
         """Per-variable maximum: the guard bit of a variable survives
@@ -251,7 +232,6 @@ class _Engine:
         self.blt.append(lt)
         self.blc.append(lc)
         self.btail.append(items[1:])
-        self.bmask.append(self.mask(lt))
         self.alive.append(True)
 
     def tick(self):
@@ -274,14 +254,11 @@ class _Engine:
         else:
             start = ~r
         blt = self.blt
-        bmask = self.bmask
         guard = self.guard
         eg = e | guard
-        not_em = ~self.mask(e)
         nbasis = len(blt)
         for i in range(start, nbasis):
-            if alive[i] and not (bmask[i] & not_em) \
-                    and (eg - blt[i]) & guard == guard:
+            if alive[i] and (eg - blt[i]) & guard == guard:
                 self._reducers[e] = i
                 return i
         self._reducers[e] = ~nbasis

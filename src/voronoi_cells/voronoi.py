@@ -141,9 +141,9 @@ def _minors(rows, size: int, ring: PolyRing) -> list[Polynomial]:
     return out
 
 
-def normal_bundle_ideal(spec: IdealSpec, *, codim: int | None = None) -> IdealSpec:
+def normal_bundle_ideal(spec: IdealSpec) -> IdealSpec:
     """Generators plus the minors cutting "u - x normal to X at x"."""
-    c = _expected_codim(spec, codim)
+    c = _expected_codim(spec)
     aug = augmented_jacobian(spec)
     n = len(aug.x_names)
     var_map = list(range(n))
@@ -152,8 +152,8 @@ def normal_bundle_ideal(spec: IdealSpec, *, codim: int | None = None) -> IdealSp
     return IdealSpec(aug.work_ring, gens, spec.codim)
 
 
-def _expected_codim(spec: IdealSpec, codim: int | None) -> int:
-    c = codim if codim is not None else spec.codim
+def _expected_codim(spec: IdealSpec) -> int:
+    c = spec.codim
     if c is None:
         c = len(spec.generators)
     if not 1 <= c <= spec.ring.nvars:
@@ -173,7 +173,6 @@ class NormalSpace:
     u_ring: PolyRing
     point: tuple
     forms: tuple[Polynomial, ...]
-    pivot_columns: tuple[int, ...]
     free_columns: tuple[int, ...]
     parameter_matrix: tuple[tuple, ...]
     jacobian_rank: int
@@ -211,19 +210,20 @@ def _rref(rows: list[list], field) -> tuple[list[list], list[int]]:
 
 
 def normal_space_at(spec: IdealSpec, point: Sequence, *,
-                    codim: int | None = None,
                     allow_singular: bool = False) -> NormalSpace:
     """Solve the equations of the normal space of X at a point of X.
 
-    Raises PointNotOnVarietyError when the generators do not vanish at the
-    point, CodimensionError when the Jacobian rank exceeds the declared
-    codimension, and SingularPointError at a Jacobian rank drop unless
-    ``allow_singular`` is set (then every direction counts as normal).
+    The expected codimension c is ``spec.codim``, or the number of
+    generators when that is unset.  Raises CodimensionError when c lies
+    outside 1..n or below the Jacobian rank, PointNotOnVarietyError when
+    the generators do not vanish at the point, and SingularPointError at a
+    Jacobian rank drop unless ``allow_singular`` is set (then every
+    direction counts as normal).
     """
     ring = spec.ring
     f = ring.field
     n = ring.nvars
-    c = _expected_codim(spec, codim)
+    c = _expected_codim(spec)
     y = tuple(f.coerce(v) for v in point)
     if len(y) != n:
         raise ValueError("point arity does not match the ring")
@@ -278,21 +278,18 @@ def normal_space_at(spec: IdealSpec, point: Sequence, *,
             j = frees.index(i)
             row = tuple(f.one if jj == j else f.zero for jj in range(len(frees)))
         param.append(row)
-    return NormalSpace(u_ring, y, tuple(forms), tuple(pivots), frees,
-                       tuple(param), rank, c)
+    return NormalSpace(u_ring, y, tuple(forms), frees, tuple(param), rank, c)
 
 
 def critical_ideal(spec: IdealSpec, point: Sequence, *,
-                   codim: int | None = None,
                    allow_singular: bool = False) -> IdealSpec:
     """The ideal of critical displacement points, in the combined (x, u) ring.
 
     Generators: the variety equations, the normality minors at symbolic x,
     the normal-space equations at y, and the bisector between x and y.
     """
-    c = _expected_codim(spec, codim)
-    ns = normal_space_at(spec, point, codim=c, allow_singular=allow_singular)
-    nb = normal_bundle_ideal(spec, codim=c)
+    ns = normal_space_at(spec, point, allow_singular=allow_singular)
+    nb = normal_bundle_ideal(spec)
     work = nb.ring
     f = work.field
     n = spec.ring.nvars
@@ -314,22 +311,20 @@ def critical_ideal(spec: IdealSpec, point: Sequence, *,
 
 
 def parametric_critical_system(spec: IdealSpec, ns: NormalSpace, *,
-                               codim: int | None = None,
                                slices: Sequence[Polynomial] = ()):
     """Rewrite the critical equations in normal-space parameters.
 
     The affine normal space at y is the image of u = y + P*s, with one
     parameter per free coordinate.  Substituting that image for u keeps all
     later eliminations in n + k variables instead of 2n.  Returns the
-    parameter ring (x variables first, then s), the u coordinate images,
-    and the critical generators: the variety equations, the normality
-    minors, the bisector, and any u-ring slice polynomials composed onto
-    the parameters.
+    parameter ring (x variables first, then s) and the critical generators:
+    the variety equations, the normality minors of size codim + 1, the
+    bisector, and any u-ring slice polynomials composed onto the parameters.
     """
     ring = spec.ring
     f = ring.field
     n = ring.nvars
-    c = _expected_codim(spec, codim)
+    c = ns.expected_codim
     y = ns.point
     k = ns.dimension
     s_names = _fresh_names(k, ("s", "ss", "q"), ring.variables)
@@ -365,7 +360,7 @@ def parametric_critical_system(spec: IdealSpec, ns: NormalSpace, *,
         moved = extra.compose(sring, u_images)
         if not moved.is_zero():
             gens.append(moved)
-    return sring, u_images, [g for g in gens if not g.is_zero()]
+    return sring, [g for g in gens if not g.is_zero()]
 
 
 @dataclass(frozen=True)
@@ -390,7 +385,6 @@ class VoronoiReport:
 
 
 def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
-                  codim: int | None = None,
                   allow_singular: bool = False,
                   slices: Sequence[Polynomial] = (),
                   budget: int | None = None) -> VoronoiReport:
@@ -408,18 +402,19 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
     ring = spec.ring
     f = ring.field
     n = ring.nvars
-    c = _expected_codim(spec, codim)
 
     t0 = time.perf_counter()
-    ns = normal_space_at(spec, point, codim=c, allow_singular=allow_singular)
+    ns = normal_space_at(spec, point, allow_singular=allow_singular)
     y = ns.point
     k = ns.dimension
+    # parameter s_j is the displacement along the j-th free coordinate
+    s_to_u = [ns.u_ring.variable(col) - ns.u_ring.constant(y[col])
+              for col in ns.free_columns]
     timings["normal_space"] = time.perf_counter() - t0
 
     # working ring: ambient x variables plus one parameter per free direction
     t0 = time.perf_counter()
-    sring, u_images, gens = parametric_critical_system(spec, ns, codim=c,
-                                                       slices=slices)
+    sring, gens = parametric_critical_system(spec, ns, slices=slices)
     xs = [sring.variable(i) for i in range(n)]
     timings["critical"] = time.perf_counter() - t0
 
@@ -455,7 +450,7 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
         reduced = prod(polys, start=pring.one())
         if reduced.total_degree() < scheme_generator.total_degree():
             parametric = GroebnerBasis(pring, (reduced.monic(),))
-        components = _line_components(factors, polys, ns, budget)
+        components = _line_components(factors, polys, ns, s_to_u, budget)
     timings["components"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -467,10 +462,6 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
 
     # map the parametric basis back to ambient coordinates and merge with
     # the linear equations of the normal space
-    s_to_u = []
-    for j in range(k):
-        col = ns.free_columns[j]
-        s_to_u.append(ns.u_ring.variable(col) - ns.u_ring.constant(y[col]))
     mapped = [p.compose(ns.u_ring, s_to_u) for p in parametric.polys]
     boundary = GroebnerBasis(ns.u_ring,
                              interreduce(list(ns.forms) + mapped, ns.u_ring,
@@ -482,12 +473,12 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
 
 
 def _line_components(factors, polys: Sequence[Polynomial], ns: NormalSpace,
+                     s_to_u: Sequence[Polynomial],
                      budget) -> tuple[VoronoiComponent, ...]:
-    """The factors of a univariate parametric boundary as u-ring components."""
-    col = ns.free_columns[0]
-    image = [ns.u_ring.variable(col) - ns.u_ring.constant(ns.point[col])]
+    """The factors of a univariate parametric boundary as u-ring components;
+    ``s_to_u`` maps the parameter to its u-ring image."""
     return tuple(
-        VoronoiComponent(interreduce(list(ns.forms) + [p.compose(ns.u_ring, image)],
+        VoronoiComponent(interreduce(list(ns.forms) + [p.compose(ns.u_ring, s_to_u)],
                                      ns.u_ring, budget=budget),
                          fac.multiplicity, fac.certified_irreducible)
         for fac, p in zip(factors, polys))

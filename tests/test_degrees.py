@@ -19,6 +19,7 @@ from voronoi_cells.degrees import (
 )
 from voronoi_cells.groebner import BudgetExhaustedError, IdealSpec
 from voronoi_cells.voronoi import (
+    CodimensionError,
     SingularPointError,
     normal_space_at,
     voronoi_ideal,
@@ -184,6 +185,17 @@ class TestExperiments:
         assert exp.degree == 4
         assert exp.stable
 
+    def test_codim_zero_rejected_by_both_routes(self):
+        # the ideal's declared codimension is the only one: the degree lab
+        # must not fall back to the number of generators where the exact
+        # pipeline refuses
+        spec = IdealSpec.from_strings(("x1", "x2"), ["x2 - x1^2"],
+                                      field="Fp:32003", codim=0)
+        for route in (voronoi_ideal, voronoi_degree_modp):
+            with pytest.raises(CodimensionError,
+                               match="codimension 0 out of range"):
+                route(spec, (1, 1))
+
     def test_modp_singular_point_is_not_reseeded(self):
         # the point is fixed, so one draw settles it
         spec = IdealSpec.from_strings(("x1", "x2"), ["x1^3 - x2^2"],
@@ -201,11 +213,11 @@ class TestExperiments:
         real = degrees._sliced_degree_once
         calls = []
 
-        def flaky(spec, point, codim, seed, budget):
+        def flaky(spec, point, seed, budget):
             calls.append(seed)
             if len(calls) == 1:
                 raise SingularPointError("forced reseed")
-            return real(spec, point, codim, seed, budget)
+            return real(spec, point, seed, budget)
 
         monkeypatch.setattr(degrees, "_sliced_degree_once", flaky)
         exp = hypersurface_degree_experiment(2, 2, seed=0)
@@ -235,7 +247,7 @@ class TestExperiments:
 
     def test_stabilize_flags_disagreement(self):
         spec, y = random_hypersurface(2, 2, 32003, 0)
-        exp = _stabilize(spec, y, 1, 0, 32003,
+        exp = _stabilize(spec, y, 0, 32003,
                          [(0, 32003, 4), (1, 32003, 6), (2, 32003, 4)])
         assert isinstance(exp, DegreeExperiment)
         assert exp.degree == 4

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TRACING = SRC.parent / "perfbench" / "tracing.py"
 
 # Names imported only so that the benchmark's tracer (perfbench/tracing.py)
 # finds them in the module namespace and can wrap them.
@@ -47,6 +48,22 @@ def test_no_unused_imports(path):
     rel = path.relative_to(SRC).as_posix()
     allowed = {name for module, name in ALLOWED if module == rel}
     assert unused_imports(path.read_text()) - allowed == set()
+
+
+def _traced_pairs() -> set[tuple[str, str]]:
+    """(module path, name) of every SPANS row, read with ``ast``."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "SPANS"):
+            return {(f"voronoi_cells/{module}.py", name)
+                    for module, name, _ in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/tracing.py has no SPANS table")
+
+
+def test_allowed_imports_are_traced():
+    # an allow-list entry must not outlive the span row it exists for
+    assert ALLOWED - _traced_pairs() == set()
 
 
 def test_scan_finds_an_unused_import():
