@@ -46,8 +46,7 @@ from .exactmath.sturm import dense_eval
 from .groebner import BudgetExhaustedError, IdealSpec
 from .lowrank import (
     DEFAULT_TOL,
-    cell_membership,
-    describe_cell,
+    _spectral_membership,
     symmetric_frobenius_membership,
 )
 from .sdp import DEFAULT_SDP_TOL, leveld_membership
@@ -375,8 +374,8 @@ def cmd_lowrank(args) -> int:
             v_matrix, u_matrix, args.rank, tol=args.tol)
         body_extra = {"metric": "frobenius-symmetric"}
     else:
-        status = cell_membership(u_matrix, v_matrix, args.rank, tol=args.tol)
-        _, cell = describe_cell(v_matrix, args.rank, tol=args.tol)
+        status, cell = _spectral_membership(u_matrix, v_matrix, args.rank,
+                                            args.tol)
         body_extra = {"metric": "spectral", "radius": cell.radius}
     body = {
         "schema": SCHEMA_VERSION,

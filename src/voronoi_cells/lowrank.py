@@ -164,13 +164,21 @@ def cell_membership(u_matrix, v_matrix, r: int,
     "outside".  A tol that is not finite and nonnegative raises
     ValueError.
     """
+    return _spectral_membership(u_matrix, v_matrix, r, tol)[0]
+
+
+def _spectral_membership(u_matrix, v_matrix, r: int, tol: float):
+    """``cell_membership``'s verdict and V's CellDescription, from one
+    decomposition of V."""
     u = _as_matrix(u_matrix)
     v = _as_matrix(v_matrix)
     if u.shape != v.shape:
         raise ValueError("shape mismatch")
     factors, cell = describe_cell(v, r, tol)
     aligned = factors.sigma1.T @ u @ factors.sigma2.T
-    return _block_verdict(aligned, cell.aligned_diagonal, tol, spectral_norm)
+    verdict = _block_verdict(aligned, cell.aligned_diagonal, tol,
+                             spectral_norm)
+    return verdict, cell
 
 
 def symmetric_frobenius_membership(v_matrix, u_matrix, r: int,

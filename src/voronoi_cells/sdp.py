@@ -15,12 +15,17 @@ holds to within tol; a non-member found by the Newton solve carries a
 dual matrix that bounds the largest eigenvalue away from zero for every
 choice of multipliers, so it is a proof.
 
-Gradients come from the lift's stacked ``hessians`` (q, N, N) and
-``linear`` (q, N) arrays, and the LMI engine's facial reduction folds
-every vanishing diagonal of a scan at once, with one solve per scan.
+Values and gradients come from the lift's stacked ``constant`` (q,),
+``linear`` (q, N) and ``hessians`` (q, N, N) arrays, and the LMI engine's
+facial reduction folds every vanishing diagonal of a scan at once, with
+one solve per scan.  The lift depends only on the polynomials and the
+level, so ``leveld_membership`` builds it once per (variety, level) and
+shares it, read-only, across queries; a bounded cache keeps the 4 most
+recently used lifts.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,9 +103,10 @@ class VeroneseLift:
     """All quadratic data of a variety pushed through a Veronese embedding.
 
     ``quadrics`` holds the lifted defining equations first, then the
-    coordinate relations.  Quadric i is c_i + linear[i] . z
-    + (1/2) z^T hessians[i] z, so ``hessians`` stacks their Hessians in a
-    (q, N, N) array and ``linear`` their linear parts in a (q, N) array.
+    coordinate relations.  Quadric i is constant[i] + linear[i] . z
+    + (1/2) z^T hessians[i] z, so ``constant`` stacks their constant terms
+    in a (q,) array, ``linear`` their linear parts in a (q, N) array and
+    ``hessians`` their Hessians in a (q, N, N) array.
     The distance Hessian is 2I on the linear coordinates and zero
     elsewhere.
     """
@@ -112,6 +118,7 @@ class VeroneseLift:
     quadrics: tuple
     lifted_count: int
     relation_count: int
+    constant: np.ndarray
     hessians: np.ndarray
     linear: np.ndarray
     distance_hessian: np.ndarray
@@ -185,11 +192,14 @@ def veronese_lift(polys, n: int, d: int) -> VeroneseLift:
             raise RuntimeError("coordinate relation does not hold")
 
     quadrics = tuple(lifted) + tuple(relations)
+    constant = np.zeros(len(quadrics))
     hessians = np.zeros((len(quadrics), dimension, dimension))
     linear = np.zeros((len(quadrics), dimension))
     for q, quadric in enumerate(quadrics):
         for key, coeff in quadric.terms.items():
-            if len(key) == 1:
+            if not key:
+                constant[q] = float(coeff)
+            elif len(key) == 1:
                 linear[q, key[0]] = float(coeff)
             elif len(key) == 2:
                 i, j = key
@@ -204,6 +214,7 @@ def veronese_lift(polys, n: int, d: int) -> VeroneseLift:
         quadrics=quadrics,
         lifted_count=len(lifted),
         relation_count=len(relations),
+        constant=constant,
         hessians=hessians,
         linear=linear,
         distance_hessian=distance,
@@ -450,11 +461,25 @@ _STATUS = {"feasible": "member", "infeasible": "non-member",
            "inconclusive": "inconclusive"}
 
 
-def _check_on_variety(lift: VeroneseLift, y, tol: float):
-    # the lifted equations reproduce the defining ones at the lift of y
-    q, z = lift.lifted_count, lift.point(y)
-    values = (np.array([float(f.terms.get((), 0)) for f in lift.quadrics[:q]])
-              + lift.linear[:q] @ z + 0.5 * (lift.hessians[:q] @ z) @ z)
+@functools.lru_cache(maxsize=4)
+def _shared_lift(polys: tuple, d: int) -> VeroneseLift:
+    """The lift every query on polys at level d shares, built on first use.
+
+    Its arrays are read-only, so no query can change what the next one
+    sees.  A failed build raises and leaves nothing cached.
+    """
+    lift = veronese_lift(polys, polys[0].ring.nvars, d)
+    for array in (lift.constant, lift.hessians, lift.linear,
+                  lift.distance_hessian):
+        array.setflags(write=False)
+    return lift
+
+
+def _check_on_variety(lift: VeroneseLift, z: np.ndarray, tol: float):
+    # the lifted equations reproduce the defining ones at z, the lift of y
+    q = lift.lifted_count
+    values = (lift.constant[:q] + lift.linear[:q] @ z
+              + 0.5 * (lift.hessians[:q] @ z) @ z)
     worst = float(np.abs(values).max())
     if worst > max(tol, 1e-9):
         raise PointNotOnVarietyError(
@@ -476,7 +501,8 @@ def leveld_membership(polys, y, u, d: int, tol: float = DEFAULT_SDP_TOL,
     non-member carries the dual matrix from ``lmi_feasible`` that proves
     no lam works, or None when the stationarity equations settle the
     answer alone; it only says this level's certificate does not exist.
-    ``iterations`` counts Newton steps of the LMI solve.
+    ``iterations`` counts Newton steps of the LMI solve.  The lift is
+    shared by every query on the same polynomials and level.
     """
     _check_settings(tol, max_iterations)
     polys = tuple(polys)
@@ -487,9 +513,10 @@ def leveld_membership(polys, y, u, d: int, tol: float = DEFAULT_SDP_TOL,
     u = np.asarray(u, dtype=float)
     if y.shape != (n,) or u.shape != (n,):
         raise ValueError("points must match the ring's variable count")
-    lift = veronese_lift(polys, n, d)
-    _check_on_variety(lift, y, tol)
-    jac = lift.jacobian_at(y)
+    lift = _shared_lift(polys, d)
+    z = lift.point(y)
+    _check_on_variety(lift, z, tol)
+    jac = (lift.hessians @ z + lift.linear).T
     eq_matrix = np.vstack([0.5 * jac[:n, :], jac[n:, :]])
     eq_rhs = np.concatenate([y - u, np.zeros(lift.dimension - n)])
     problem = LMIFeasibilityProblem(

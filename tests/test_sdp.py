@@ -427,6 +427,7 @@ class TestVeroneseLift:
         checked = 0
         for ring, _, lift in random_lifts():
             q, size = len(lift.quadrics), lift.dimension
+            assert lift.constant.shape == (q,)
             assert lift.hessians.shape == (q, size, size)
             assert lift.linear.shape == (q, size)
             for y in rng.uniform(-1.5, 1.5, size=(3, ring.nvars)):
@@ -439,8 +440,9 @@ class TestVeroneseLift:
                         assert want == 0.0
                     scale = sum(abs(float(c)) * np.prod(np.abs(y) ** mon)
                                 for mon, c in pulled.terms.items())
-                    got = (float(quadric.terms.get((), 0))
-                           + lift.linear[i] @ z
+                    assert lift.constant[i] == float(
+                        quadric.terms.get((), 0))
+                    got = (lift.constant[i] + lift.linear[i] @ z
                            + 0.5 * z @ lift.hessians[i] @ z)
                     assert abs(got - want) <= 1e-9 * max(1.0, scale)
                     np.testing.assert_array_equal(
@@ -629,3 +631,116 @@ class TestLevelD:
         best = min_distance_to_curve(cardioid_point, u, 0.0, 2.0 * math.pi)
         direct = float(np.linalg.norm(u - np.array(CARDIOID_POINT)))
         assert abs(best - direct) <= 1e-6
+
+
+class TestSharedLift:
+    """leveld_membership builds one lift per (polynomials, level)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        sdp._shared_lift.cache_clear()
+        calls = []
+
+        def counted(polys, n, d):
+            calls.append(d)
+            return build(polys, n, d)
+
+        build = sdp.veronese_lift
+        monkeypatch.setattr(sdp, "veronese_lift", counted)
+        yield calls
+        sdp._shared_lift.cache_clear()
+
+    def test_repeated_queries_build_once(self, builds):
+        for t in (0.1, 0.5, 2.0, -0.1):
+            leveld_membership([CARDIOID], CARDIOID_POINT, (t, 1.0 + t), 2)
+        assert builds == [2]
+
+    def test_equal_polynomials_share_the_lift(self, builds):
+        again = parse_polynomial("(x1^2 + x2^2 + x1)^2 - x1^2 - x2^2", RING2)
+        assert again is not CARDIOID
+        leveld_membership([CARDIOID], CARDIOID_POINT, (0.5, 1.5), 2)
+        leveld_membership([again], CARDIOID_POINT, (0.5, 1.5), 2)
+        assert builds == [2]
+
+    def test_new_level_ring_or_polynomials_build_anew(self, builds):
+        renamed = parse_polynomial("(a^2 + b^2 + a)^2 - a^2 - b^2",
+                                   PolyRing(("a", "b")))
+        circle = parse_polynomial("x1^2 + x2^2 - 1", RING2)
+        leveld_membership([CARDIOID], CARDIOID_POINT, (0.5, 1.5), 2)
+        leveld_membership([CARDIOID], CARDIOID_POINT, (0.5, 1.5), 3)
+        leveld_membership([renamed], CARDIOID_POINT, (0.5, 1.5), 2)
+        leveld_membership([circle], (1.0, 0.0), (2.0, 0.0), 2)
+        assert builds == [2, 3, 2, 2]
+        leveld_membership([CARDIOID], CARDIOID_POINT, (0.1, 1.1), 2)
+        assert len(builds) == 4
+
+    def test_failed_builds_are_not_cached(self, builds):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds 2d"):
+                leveld_membership([CARDIOID], CARDIOID_POINT, (0.5, 1.5), 1)
+        assert builds == [1, 1]
+        assert sdp._shared_lift.cache_info().currsize == 0
+
+    def test_point_off_the_variety_raises_on_a_cached_lift(self, builds):
+        leveld_membership(TWISTED_CUBIC, ORIGIN, (0.0, 0.4, 0.0), 1)
+        for _ in range(2):
+            with pytest.raises(PointNotOnVarietyError):
+                leveld_membership(TWISTED_CUBIC, (1.0, 0.0, 0.0), ORIGIN, 1)
+        assert builds == [1]
+
+    def test_shared_arrays_are_read_only(self, builds):
+        leveld_membership([CARDIOID], CARDIOID_POINT, (0.5, 1.5), 2)
+        shared = sdp._shared_lift((CARDIOID,), 2)
+        fresh = veronese_lift([CARDIOID], 2, 2)
+        assert fresh is not veronese_lift([CARDIOID], 2, 2)
+        for name in ("constant", "hessians", "linear", "distance_hessian"):
+            assert not getattr(shared, name).flags.writeable, name
+            assert getattr(fresh, name).flags.writeable, name
+            with pytest.raises(ValueError):
+                getattr(shared, name)[0] = 1.0
+        assert builds == [2]  # the query's lift was the one checked
+
+    def test_cache_stays_bounded(self, builds):
+        circle = parse_polynomial("x1^2 + x2^2 - 1", RING2)
+        info = sdp._shared_lift.cache_info
+        for level in range(1, 7):
+            leveld_membership([circle], (1.0, 0.0), (0.5, 0.0), level)
+            assert info().currsize <= info().maxsize
+        assert len(builds) == 6
+        assert info().maxsize < 6
+
+
+def fresh_lift(polys, d):
+    return veronese_lift(polys, polys[0].ring.nvars, d)
+
+
+class TestSharedLiftAnswers:
+    """Shared and freshly built lifts give bit-identical answers."""
+
+    @staticmethod
+    def queries():
+        rng = np.random.default_rng(23)
+        circle = parse_polynomial("x1^2 + x2^2 - 1", RING2)
+        out = [([CARDIOID], CARDIOID_POINT, (t, 1.0 + t), 2)
+               for t in rng.uniform(-0.5, 2.5, size=8)]
+        out += [(TWISTED_CUBIC, ORIGIN, (0.0, u2, u3), 1)
+                for u2, u3 in rng.uniform(-0.6, 1.5, size=(8, 2))]
+        # facial reduction pins the level-3 coordinates of the circle
+        out.append(([circle], (1.0, 0.0), (2.0, 0.0), 3))
+        return out
+
+    def test_answers_match_a_fresh_lift(self, monkeypatch):
+        sdp._shared_lift.cache_clear()
+        queries = self.queries()
+        shared = [leveld_membership(*q) for q in queries]
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, "_shared_lift", fresh_lift)
+            fresh = [leveld_membership(*q) for q in queries]
+        assert {res.status for res in shared} == {"member", "non-member"}
+        for query, a, b in zip(queries, shared, fresh):
+            assert (a.status, a.margin, a.iterations) == (
+                b.status, b.margin, b.iterations), query
+            if a.witness is None:
+                assert b.witness is None, query
+            else:
+                assert np.array_equal(a.witness, b.witness), query
