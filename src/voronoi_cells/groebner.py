@@ -108,11 +108,26 @@ class IdealSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "IdealSpec":
+        """Read {"vars": [...], "gens": [...], "field": "Q", "codim": c};
+        a document of any other shape raises ValueError naming the bad key."""
         data = json.loads(text)
-        field = field_from_name(data.get("field", "Q"))
-        return cls.from_strings(
-            data["vars"], data["gens"], field=field, codim=data.get("codim")
-        )
+        if not isinstance(data, dict):
+            raise ValueError("the document must be a JSON object, not "
+                             f"{type(data).__name__}")
+        for key in ("vars", "gens"):
+            value = data.get(key)
+            if not (isinstance(value, list)
+                    and all(isinstance(v, str) for v in value)):
+                raise ValueError(f"{key!r} must be a list of strings")
+        field = data.get("field", "Q")
+        if not isinstance(field, str):
+            raise ValueError(f"'field' must be a string, not {field!r}")
+        codim = data.get("codim")
+        if codim is not None and (isinstance(codim, bool)
+                                  or not isinstance(codim, int)):
+            raise ValueError(f"'codim' must be an integer, not {codim!r}")
+        return cls.from_strings(data["vars"], data["gens"], field=field,
+                                codim=codim)
 
     def to_json(self) -> str:
         data = {

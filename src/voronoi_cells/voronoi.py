@@ -6,18 +6,19 @@ affine normal space of X at y, and its topological boundary lies on an
 algebraic hypersurface of that normal space.  This module computes the
 defining ideal of that hypersurface exactly:
 
-1. augment the Jacobian of the generators with the row u - x and take the
-   minors that cut the locus "u lies in the normal space at x";
-2. specialize x := y to get the linear equations of the normal space at y;
-3. intersect with the bisector condition |u - x|^2 = |u - y|^2, giving the
-   ideal of critical displacement points;
-4. remove the trivial solution x = y by saturation and eliminate x.
+1. read the linear equations of the normal space at y off the kernel of
+   the Jacobian there, and solve them into the parametric form
+   u = y + P*s, one parameter per free coordinate;
+2. write the critical equations of the distance from u to X: the
+   generators, the minors of size codim + 1 of the Jacobian with the row
+   u - x on top, and the bisector |u - x|^2 = |u - y|^2;
+3. remove the trivial solution x = y by saturation and eliminate x.
 
-Internally the linear equations of step 2 are read off the kernel of the
-Jacobian at y (the same space the specialized minors cut out) and solved
-once, and the whole computation runs in the coordinates of the normal space
-(one parameter per free coordinate), which keeps the elimination rings
-small; the result maps back to the ambient coordinates afterwards.
+One private builder writes the equations of step 2 for both routes.  The
+pipeline, ``voronoi_ideal``, substitutes u = y + P*s, so its eliminations
+run in n + k variables, and maps the result back to ambient coordinates.
+``critical_ideal``, the slow route the tests check it against, keeps u
+symbolic in the 2n-variable (x, u) ring and adds the normal-space equations.
 """
 from __future__ import annotations
 
@@ -82,32 +83,6 @@ def _fresh_names(count: int, prefix_options: Sequence[str], taken) -> tuple[str,
     raise ValueError("could not find unused variable names")
 
 
-@dataclass(frozen=True)
-class AugmentedJacobian:
-    """Jacobian of the generators with the displacement row u - x on top."""
-
-    work_ring: PolyRing           # ambient variables first, then the u block
-    x_names: tuple[str, ...]
-    u_names: tuple[str, ...]
-    rows: tuple[tuple[Polynomial, ...], ...]   # (m + 1) x n
-
-
-def augmented_jacobian(spec: IdealSpec) -> AugmentedJacobian:
-    ring = spec.ring
-    n = ring.nvars
-    u_names = _fresh_names(n, ("u", "uu", "w"), ring.variables)
-    work = PolyRing(ring.variables + u_names, field=ring.field, order=GREVLEX)
-    var_map = list(range(n))
-    xs = [work.variable(i) for i in range(n)]
-    us = [work.variable(n + i) for i in range(n)]
-    top = tuple(us[i] - xs[i] for i in range(n))
-    rows = [top]
-    for g in spec.generators:
-        moved = g.map_ring(work, var_map)
-        rows.append(tuple(moved.derivative(i) for i in range(n)))
-    return AugmentedJacobian(work, ring.variables, u_names, tuple(rows))
-
-
 def _det(matrix, ring: PolyRing) -> Polynomial:
     size = len(matrix)
     if size == 1:
@@ -139,17 +114,6 @@ def _minors(rows, size: int, ring: PolyRing) -> list[Polynomial]:
             if not d.is_zero():
                 out.append(d)
     return out
-
-
-def normal_bundle_ideal(spec: IdealSpec) -> IdealSpec:
-    """Generators plus the minors cutting "u - x normal to X at x"."""
-    c = _expected_codim(spec)
-    aug = augmented_jacobian(spec)
-    n = len(aug.x_names)
-    var_map = list(range(n))
-    moved = [g.map_ring(aug.work_ring, var_map) for g in spec.generators]
-    gens = tuple(moved) + tuple(_minors(aug.rows, c + 1, aug.work_ring))
-    return IdealSpec(aug.work_ring, gens, spec.codim)
 
 
 def _expected_codim(spec: IdealSpec) -> int:
@@ -281,6 +245,29 @@ def normal_space_at(spec: IdealSpec, point: Sequence, *,
     return NormalSpace(u_ring, y, tuple(forms), frees, tuple(param), rank, c)
 
 
+def _critical_equations(spec: IdealSpec, ns: NormalSpace, ring: PolyRing,
+                        u_images: Sequence[Polynomial]) -> list[Polynomial]:
+    """The variety equations, the minors of size codim + 1 of the Jacobian
+    with the row u - x on top, and last the bisector |u - x|^2 = |u - y|^2,
+    in ``ring`` (x variables first) with u_i := ``u_images[i]``."""
+    f = ring.field
+    n = spec.ring.nvars
+    y = ns.point
+    xs = [ring.variable(i) for i in range(n)]
+    gens = [g.map_ring(ring, list(range(n))) for g in spec.generators]
+    grad_rows = [[g.derivative(i) for i in range(n)] for g in gens]
+    disp_row = [u_images[i] - xs[i] for i in range(n)]
+    gens.extend(_minors([disp_row] + grad_rows, ns.expected_codim + 1, ring))
+
+    bis = ring.zero()
+    for i in range(n):
+        bis = bis + xs[i] * xs[i]
+        bis = bis - ring.constant(f.mul(y[i], y[i]))
+        bis = bis - 2 * u_images[i] * (xs[i] - ring.constant(y[i]))
+    gens.append(bis)
+    return gens
+
+
 def critical_ideal(spec: IdealSpec, point: Sequence, *,
                    allow_singular: bool = False) -> IdealSpec:
     """The ideal of critical displacement points, in the combined (x, u) ring.
@@ -289,23 +276,13 @@ def critical_ideal(spec: IdealSpec, point: Sequence, *,
     the normal-space equations at y, and the bisector between x and y.
     """
     ns = normal_space_at(spec, point, allow_singular=allow_singular)
-    nb = normal_bundle_ideal(spec)
-    work = nb.ring
-    f = work.field
     n = spec.ring.nvars
-    y = ns.point
-    xs = [work.variable(i) for i in range(n)]
-    us = [work.variable(n + i) for i in range(n)]
-
-    gens = list(nb.generators)
+    work = PolyRing(spec.ring.variables + ns.u_ring.variables,
+                    field=spec.ring.field, order=GREVLEX)
     u_map = [n + i for i in range(n)]
+    *gens, bis = _critical_equations(spec, ns, work,
+                                     [work.variable(j) for j in u_map])
     gens.extend(form.map_ring(work, u_map) for form in ns.forms)
-
-    bis = work.zero()
-    for i in range(n):
-        bis = bis + xs[i] * xs[i]
-        bis = bis - work.constant(f.mul(y[i], y[i]))
-        bis = bis - 2 * us[i] * (xs[i] - work.constant(y[i]))
     gens.append(bis)
     return IdealSpec(work, tuple(gens), spec.codim)
 
@@ -317,19 +294,16 @@ def parametric_critical_system(spec: IdealSpec, ns: NormalSpace, *,
     The affine normal space at y is the image of u = y + P*s, with one
     parameter per free coordinate.  Substituting that image for u keeps all
     later eliminations in n + k variables instead of 2n.  Returns the
-    parameter ring (x variables first, then s) and the critical generators:
-    the variety equations, the normality minors of size codim + 1, the
-    bisector, and any u-ring slice polynomials composed onto the parameters.
+    parameter ring (x variables first, then s) and the critical equations,
+    followed by any u-ring slice polynomials composed onto the parameters.
     """
     ring = spec.ring
     f = ring.field
     n = ring.nvars
-    c = ns.expected_codim
     y = ns.point
     k = ns.dimension
     s_names = _fresh_names(k, ("s", "ss", "q"), ring.variables)
     sring = PolyRing(ring.variables + s_names, field=f, order=GREVLEX)
-    xs = [sring.variable(i) for i in range(n)]
     ss = [sring.variable(n + j) for j in range(k)]
 
     u_images = []
@@ -341,25 +315,11 @@ def parametric_critical_system(spec: IdealSpec, ns: NormalSpace, *,
                 expr = expr + sring.constant(coeff) * ss[j]
         u_images.append(expr)
 
-    x_map = list(range(n))
-    gens = [g.map_ring(sring, x_map) for g in spec.generators]
-    grad_rows = [[g.derivative(i) for i in range(n)] for g in gens]
-    disp_row = [u_images[i] - xs[i] for i in range(n)]
-    gens.extend(_minors([disp_row] + grad_rows, c + 1, sring))
-
-    bis = sring.zero()
-    for i in range(n):
-        bis = bis + xs[i] * xs[i]
-        bis = bis - sring.constant(f.mul(y[i], y[i]))
-        bis = bis - 2 * u_images[i] * (xs[i] - sring.constant(y[i]))
-    gens.append(bis)
-
+    gens = _critical_equations(spec, ns, sring, u_images)
     for extra in slices:
         if extra.ring != ns.u_ring:
             raise ValueError("slice polynomials must live in the u-ring")
-        moved = extra.compose(sring, u_images)
-        if not moved.is_zero():
-            gens.append(moved)
+        gens.append(extra.compose(sring, u_images))
     return sring, [g for g in gens if not g.is_zero()]
 
 
@@ -386,16 +346,13 @@ class VoronoiReport:
 
 def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
                   allow_singular: bool = False,
-                  slices: Sequence[Polynomial] = (),
                   budget: int | None = None) -> VoronoiReport:
     """Compute the algebraic boundary of the nearest-point region at y.
 
-    ``slices`` are extra polynomials in the u-ring (typically random affine
-    lines) added before saturation; they cut the boundary down to points
-    for degree counting.  The returned report carries the reduced basis in
-    ambient coordinates, the same ideal in normal-space parameters, the
-    degree when the parametric ideal is zero-dimensional or principal, and
-    the factored components when the normal space is a line.
+    The returned report carries the reduced basis in ambient coordinates,
+    the same ideal in normal-space parameters, the degree when the
+    parametric ideal is zero-dimensional or principal, and the factored
+    components when the normal space is a line.
     """
     t_start = time.perf_counter()
     timings: dict = {}
@@ -414,7 +371,7 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
 
     # working ring: ambient x variables plus one parameter per free direction
     t0 = time.perf_counter()
-    sring, gens = parametric_critical_system(spec, ns, slices=slices)
+    sring, gens = parametric_critical_system(spec, ns)
     xs = [sring.variable(i) for i in range(n)]
     timings["critical"] = time.perf_counter() - t0
 

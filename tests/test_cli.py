@@ -122,6 +122,31 @@ class TestVoronoiCommand:
         assert err.startswith("error: ")
         assert "exponent" in err
 
+    @pytest.mark.parametrize("document, key", [
+        ('{"vars": ["x1", "x2"], "gens": ["x1^2 + x2^2 - 1"], "codim": "a"}',
+         "'codim'"),
+        ('{"vars": ["x1", "x2"], "gens": ["x1^2 + x2^2 - 1"], "field": 7}',
+         "'field'"),
+        ("[1, 2]", "JSON object"),
+        ('"x"', "JSON object"),
+        ('{"vars": ["x1", "x2"], "gens": ["x1^2 + x2^2 - 1"], "codim": 1.5}',
+         "'codim'"),
+        ('{"vars": ["x1", "x2"], "gens": ["x1^2 + x2^2 - 1"], "codim": true}',
+         "'codim'"),
+    ], ids=["codim-string", "field-number", "list", "string", "codim-float",
+            "codim-bool"])
+    def test_malformed_document_is_input_error(self, capsys, tmp_path,
+                                               document, key):
+        path = tmp_path / "ideal.json"
+        path.write_text(document)
+        code, out, err = run(capsys, "voronoi", str(path),
+                             "--point", '["1", "0"]')
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid ideal file: ")
+        assert key in err
+        assert err.count("\n") == 1
+
     def test_env_budget(self, capsys, cusp_file, monkeypatch):
         monkeypatch.setenv("VORONOI_BUDGET", "5")
         code, _, err = run(capsys, "voronoi", cusp_file,

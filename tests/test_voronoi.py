@@ -1,10 +1,13 @@
 """Voronoi boundary pipeline against hand-verified fixtures.
 
-The worked examples here have closed-form answers (checked by hand or by an
-independent slow route in the full 2n-variable ring), so every assertion is
-an exact symbolic comparison unless a float tolerance is stated.
+The worked examples here have closed-form answers, checked by hand or by
+the slow route: ``critical_ideal`` keeps u symbolic in the full 2n-variable
+(x, u) ring, where saturation and elimination run independently of the
+pipeline's normal-space parameters.  Every assertion is an exact symbolic
+comparison unless a float tolerance is stated.
 """
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -27,11 +30,10 @@ from voronoi_cells.voronoi import (
     CodimensionError,
     PointNotOnVarietyError,
     SingularPointError,
-    augmented_jacobian,
     boundary_on_normal_line,
     critical_ideal,
-    normal_bundle_ideal,
     normal_space_at,
+    parametric_critical_system,
     voronoi_ideal,
 )
 
@@ -42,6 +44,16 @@ CARDIOID = "(x1^2 + x2^2 + x1)^2 - x1^2 - x2^2"
 
 def _polyset(ring, texts):
     return {parse_polynomial(t, ring).monic() for t in texts}
+
+
+def _slow_boundary(spec, point):
+    """Saturate the critical ideal in the (x, u) ring by each displacement
+    coordinate x_i - y_i, then eliminate x."""
+    ci = critical_ideal(spec, point)
+    disp = [ci.ring.variable(i) - ci.ring.constant(v)
+            for i, v in enumerate(point)]
+    sat = saturate(ci.generators, disp, ci.ring)
+    return eliminate(sat.polys, spec.ring.variables, sat.ring)
 
 
 @pytest.fixture(scope="module")
@@ -95,26 +107,15 @@ class TestNormalSpace:
         assert ns.free_columns == (0, 1)
 
 
-class TestAugmentedJacobian:
-    def test_cuspidal_matrix(self):
-        spec = IdealSpec.from_strings(("x1", "x2"), [CUSPIDAL])
-        aug = augmented_jacobian(spec)
-        ring = aug.work_ring
-        expected_rows = [
-            ["u1 - x1", "u2 - x2"],
-            ["3*x1^2", "-2*x2"],
-        ]
-        assert len(aug.rows) == 2
-        for row, exp in zip(aug.rows, expected_rows):
-            assert [str(p) for p in row] == [
-                str(parse_polynomial(t, ring)) for t in exp]
-
+class TestCriticalIdeal:
     def test_twisted_cubic_minor_count(self):
         spec = IdealSpec.from_strings(
             ("x1", "x2", "x3"), ["x2 - x1^2", "x3 - x1*x2"], codim=2)
-        nb = normal_bundle_ideal(spec)
-        # two variety generators plus the single 3x3 determinant
-        assert len(nb.generators) == 3
+        ci = critical_ideal(spec, (0, 0, 0))
+        # two variety generators, the single 3x3 determinant, the
+        # normal-space form u1 and the bisector
+        assert len(ci.generators) == 5
+        assert str(ci.generators[3]) == "u1"
 
     def test_critical_ideal_bisector(self):
         spec = IdealSpec.from_strings(("x1", "x2"), [CUSPIDAL])
@@ -139,13 +140,8 @@ class TestQuadricGolden:
         assert quadric_report.degree == 3
 
     def test_slow_route_agrees(self, quadric_report):
-        # saturate the critical ideal in the full (x, u) ring by each
-        # displacement coordinate, then eliminate x: same boundary ideal
         spec = IdealSpec.from_strings(("x1", "x2", "x3"), [QUADRIC])
-        ci = critical_ideal(spec, (0, 0, 0))
-        xs = [ci.ring.variable(i) for i in range(3)]
-        sat = saturate(ci.generators, xs, ci.ring)
-        slow = eliminate(sat.polys, ["x1", "x2", "x3"], sat.ring)
+        slow = _slow_boundary(spec, (0, 0, 0))
         fast = {str(p) for p in quadric_report.boundary.polys}
         assert {str(p) for p in slow.polys} == fast
 
@@ -284,8 +280,20 @@ class TestSingularAndHigherCodim:
             ("x1", "x2", "x3"), ["x2 - x1^2", "x3 - x1*x2"], codim=2)
         ns = normal_space_at(spec, (0, 0, 0))
         cut = parse_polynomial("u2 + 2*u3 - 1", ns.u_ring)
-        report = voronoi_ideal(spec, (0, 0, 0), slices=(cut,))
-        assert report.degree == 4
+        sring, gens = parametric_critical_system(spec, ns, slices=(cut,))
+        xs = [sring.variable(i) for i in range(3)]
+        sat = saturate(gens, xs, sring)
+        points = eliminate(sat.polys, spec.ring.variables, sat.ring)
+        assert quotient_degree(points) == 4
+
+    def test_twisted_cubic_slow_route_agrees(self):
+        # codim 2: the critical ideal carries one 3x3 minor
+        spec = IdealSpec.from_strings(
+            ("x1", "x2", "x3"), ["x2 - x1^2", "x3 - x1*x2"], codim=2)
+        slow = _slow_boundary(spec, (0, 0, 0))
+        report = voronoi_ideal(spec, (0, 0, 0))
+        assert slow.ring == report.boundary.ring
+        assert slow.polys == report.boundary.polys
 
     def test_sphere_boundary_is_center(self):
         spec = IdealSpec.from_strings(
@@ -325,6 +333,31 @@ class TestCardioid:
         assert hi == float("inf")
         # boundary point y + lambda*grad at lambda = -1/4 is (-1/2, 1/2)
         assert abs(section.reach - 2 ** 0.5 / 2) < 1e-9
+
+
+class TestSlowRouteScheme:
+    @pytest.mark.parametrize("text, point, multiplicities, degree", [
+        (CUSPIDAL, (4, 8), [1, 1, 3], 6),
+        (CARDIOID, (0, 1), [1, 3], 4),
+    ], ids=["cusp", "cardioid"])
+    def test_univariate_generator_is_the_scheme(self, text, point,
+                                                multiplicities, degree):
+        # the slow route keeps the scheme, while the pipeline reports its
+        # radical: the slow route's generator in u2 is the product of the
+        # component factors, each raised to its multiplicity
+        spec = IdealSpec.from_strings(("x1", "x2"), [text])
+        report = voronoi_ideal(spec, point)
+        slow = _slow_boundary(spec, point)
+        assert slow.ring == report.boundary.ring
+        [scheme] = [p for p in slow.polys if set(p.variables_used()) == {1}]
+        factors = []
+        for comp in report.components:
+            [factor] = [g for g in comp.generators
+                        if set(g.variables_used()) == {1}]
+            factors.append(factor ** comp.multiplicity)
+        assert [c.multiplicity for c in report.components] == multiplicities
+        assert scheme == prod(factors).monic()
+        assert scheme.total_degree() == degree
 
 
 class TestEquivariance:
