@@ -113,7 +113,7 @@ def load_ideal(path: str) -> IdealSpec:
             f"invalid ideal JSON at position {exc.pos}: {exc.msg}") from exc
     except ParseError as exc:
         raise InputError(f"invalid generator: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"invalid ideal file: {exc}") from exc
 
 

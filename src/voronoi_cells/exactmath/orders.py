@@ -12,7 +12,9 @@ Keys are built from 24-bit fields, so every exponent must stay below 2^23
 (the engine's packed monomials keep the top bit of each field as a guard);
 a larger one raises OverflowError.  Grevlex puts the degree above the
 complemented exponents in reverse order, lex the exponents in order, and
-BlockElim(k) the head's grevlex key above the tail's.
+BlockElim(k) the head's grevlex key above the tail's.  Each key is thus an
+affine function of the exponent vector, key(a + b) = key(a) + key(b) -
+key(0), which the Groebner engine uses to shift keys without a lookup.
 
 Variables listed first in a ring are the biggest in every order.  BlockElim(k)
 is the two-block elimination order: graded reverse lex on the first k

@@ -13,13 +13,17 @@ cached once per packed monomial.
 One reduction kernel serves both fields.  It runs a max-heap over the
 pending monomials of the working polynomial.  A pending coefficient is
 reduced mod p only when its term is popped; a term that cancels stays
-pending as a zero and is skipped then.  The reducer of a monomial is the
-first live basis member whose leading term divides it, and each engine
-remembers it: members are only ever appended or retired, so a remembered
-live reducer still holds and a remembered miss resumes its scan where it
-stopped.  The final interreduction puts the kept members into one engine in
-ascending order and reduces each tail there, writing it back; a tail term
-lies below its own leading term, so only the other members divide it.
+pending as a zero and is skipped then.  Terms leave the kernel largest
+first, and every encoded term dict keeps that order, so its first term is
+its leading term.  The reducer of a monomial is the first basis member
+whose leading term divides it, and each engine remembers it: members are
+only ever appended, so a remembered divisor still holds and a remembered
+miss resumes its scan where it stopped.  Under a signature bound (below) a
+divisor reduces only when its shifted signature is smaller, and the scan
+goes on past the ones that are not.  The final interreduction puts the kept
+members into one engine in ascending order and reduces each tail there,
+writing it back; a tail term lies below its own leading term, so only the
+other members divide it.
 
 Over F_p basis members are monic, so the kernel never scales.  Over Q the
 engine reduces fraction-free: basis members are primitive integer
@@ -31,11 +35,19 @@ reducer choices and the step counts are those of rational arithmetic.  The
 kernel tracks the product of the scalings, which makes exact normal forms
 available without a single fraction in the loop.
 
-Buchberger's algorithm uses the normal selection strategy (smallest lcm
-first, ties broken by generator indices), the coprime-leading-term
-criterion and the chain criterion over already-treated pairs, so runs are
-deterministic.  Every reducer application counts against a step budget;
-exceeding it raises BudgetExhaustedError rather than looping forever.
+Buchberger's algorithm runs on signatures (Faugere's F5; the rewrite
+framework surveyed by Eder and Faugere).  Generator i has the signature
+(i, 1), compared position over term in the caller's order, and each basis
+member carries the signature of the multiple of the generators it stands
+for.  Signatures are taken in increasing order, once each.  Three criteria
+discard a signature before any reduction: F5 (a leading term of the basis
+of the earlier generators divides it), syzygy (the signature of an earlier
+zero reduction divides it) and rewrite (of the members whose signature
+divides it, only the one with the smallest multiple is reduced).  Order
+keys are affine in the exponents, so a signature's key is integer
+arithmetic on stored keys.  Runs are deterministic.  Every reducer
+application counts against a step budget; exceeding it raises
+BudgetExhaustedError rather than looping forever.
 
 Reduced bases are monic, pairwise irreducible and sorted with the largest
 leading term first, which makes them canonical for the ring's order.
@@ -44,7 +56,7 @@ Elimination, saturation and intersection share one route: the grevlex
 basis of the generators comes first; a single kept variable over a
 zero-dimensional basis then takes the minimal polynomial of
 multiplication by that variable, and anything else a block-order run
-started from the grevlex basis.
+started from the grevlex basis, smallest leading term first.
 """
 from __future__ import annotations
 
@@ -177,17 +189,26 @@ class _Engine:
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.stage = stage
         self.steps = steps  # steps already spent against the same budget
+        self.zero_reductions = 0  # signature-loop reductions that left 0
         self.guard = sum(1 << (_W * i + _W - 1) for i in range(self.n))
         self._keyd: dict = {}  # descending sort keys, shared by sub-engines
-        # monomial -> first live reducer index, or ~k after a miss over the
-        # first k members (see find_reducer)
+        # monomial -> index of the first member whose leading term divides
+        # it, or ~k after a miss over the first k members (see find_reducer)
         self._reducers: dict = {}
-        # basis storage: parallel lists over insertion index; blc holds the
-        # leading coefficients (1 over F_p, where members are monic)
+        # basis storage: parallel lists over insertion index.  blt and blk
+        # hold the leading terms and their descending keys, blc the leading
+        # coefficients (1 over F_p, where members are monic), btail the
+        # other terms as (monomial, coefficient, descending key), largest
+        # first.  The signature loop also fills bsig with each member's
+        # signature monomial and bkey with its signature key minus the
+        # ascending key of its leading term, so the member shifted onto the
+        # term e has the signature key bkey + key_asc(e).
         self.blt: list[int] = []
+        self.blk: list[int] = []
         self.blc: list[int] = []
         self.btail: list[list] = []
-        self.alive: list[bool] = []
+        self.bsig: list[int] = []
+        self.bkey: list[int] = []
 
     # -- encoding ----------------------------------------------------------
     def encode(self, mon) -> int:
@@ -207,9 +228,6 @@ class _Engine:
             self._keyd[enc] = k
         return k
 
-    def keya(self, enc: int) -> int:
-        return -self.keyd(enc)
-
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
 
@@ -222,32 +240,49 @@ class _Engine:
         return (a & m) | (b & ~m)
 
     def poly_to_dict(self, f: Polynomial) -> tuple[dict, int]:
-        """Encoded term dict of den * f, and den: over Q den is the lcm of
-        the coefficient denominators, so the dict holds integers; over F_p
-        it is 1."""
+        """Encoded term dict of den * f, largest term first, and den: over
+        Q den is the lcm of the coefficient denominators, so the dict holds
+        integers; over F_p it is 1."""
+        terms = f.sorted_terms()
         if self.modp:
-            return {self.encode(mon): c for mon, c in f.terms.items()}, 1
-        den = lcm(*(c.denominator for c in f.terms.values()))
+            return {self.encode(mon): c for mon, c in terms}, 1
+        den = lcm(*(c.denominator for _, c in terms))
         return {self.encode(mon): c.numerator * (den // c.denominator)
-                for mon, c in f.terms.items()}, den
+                for mon, c in terms}, den
 
     def dict_to_poly(self, d: dict, scale=1) -> Polynomial:
         """The polynomial d / scale; scale is always 1 over F_p."""
         if self.modp:
             return self.ring.from_terms({self.decode(e): c for e, c in d.items()})
         return self.ring.from_terms(
-            {self.decode(e): Fraction(c) / scale for e, c in d.items()})
+            {self.decode(e): Fraction(c, scale) for e, c in d.items()})
 
     # -- basis management ---------------------------------------------------
     def add_basis_poly(self, d: dict):
-        """Insert a polynomial given as an encoded term dict: monic over
-        F_p, with integer coefficients over Q."""
-        items = [(e, d[e]) for e in sorted(d, key=self.keyd)]
-        lt, lc = items[0]
+        """Insert a polynomial given as an encoded term dict, largest term
+        first: monic over F_p, with integer coefficients over Q."""
+        keyd = self.keyd
+        items = [(e, c, keyd(e)) for e, c in d.items()]
+        lt, lc, lk = items[0]
         self.blt.append(lt)
+        self.blk.append(lk)
         self.blc.append(lc)
         self.btail.append(items[1:])
-        self.alive.append(True)
+
+    def shifted(self, k: int, t: int) -> dict:
+        """Member k times the monomial t, as an encoded term dict.  Keys are
+        affine in the exponents, so the keys of its terms are those of the
+        member's terms plus one shift, and go into the key cache."""
+        kt = self.keyd(t) - self.keyd(0)
+        cache = self._keyd
+        e = self.blt[k] + t
+        cache[e] = self.blk[k] + kt
+        d = {e: self.blc[k]}
+        for e, c, ke in self.btail[k]:
+            e += t
+            cache[e] = ke + kt
+            d[e] = c
+        return d
 
     def tick(self):
         self.steps += 1
@@ -255,34 +290,45 @@ class _Engine:
             raise BudgetExhaustedError(self.stage, self.budget)
 
     # -- reduction kernel ---------------------------------------------------
-    def find_reducer(self, e: int) -> int:
-        """Index of the first live member whose leading term divides e, or
-        -1.  Members are only ever appended or retired, so a remembered live
-        answer still holds, a retired one resumes the scan just after it,
-        and a miss over the first k members resumes at k."""
+    def find_reducer(self, e: int, lim: int | None = None) -> int:
+        """Index of the first member whose leading term divides e and, when
+        lim is given, whose bkey lies below lim; -1 if there is none.
+        Members are only ever appended, so the first divisor of e, once
+        found, is remembered for good, and a scan that found no divisor
+        among the first k members resumes at k."""
         r = self._reducers.get(e, -1)
-        alive = self.alive
-        if r >= 0:
-            if alive[r]:
-                return r
-            start = r + 1
-        else:
+        if r < 0:
             start = ~r
+        elif lim is None or self.bkey[r] < lim:
+            return r
+        else:
+            start = r + 1
         blt = self.blt
+        bkey = self.bkey
         guard = self.guard
         eg = e | guard
-        nbasis = len(blt)
-        for i in range(start, nbasis):
-            if alive[i] and (eg - blt[i]) & guard == guard:
-                self._reducers[e] = i
-                return i
-        self._reducers[e] = ~nbasis
+        for i in range(start, len(blt)):
+            if (eg - blt[i]) & guard == guard:
+                if r < 0:
+                    self._reducers[e] = r = i
+                if lim is None or bkey[i] < lim:
+                    return i
+        if r < 0:
+            self._reducers[e] = ~len(blt)
         return -1
 
-    def reduce_full(self, fdict: dict) -> tuple[dict, int | Fraction]:
+    def reduce_full(self, fdict: dict, bound: int | None = None
+                    ) -> tuple[dict, int | Fraction] | None:
         """Full reduction of an encoded term dict: (R, scale), where
-        R / scale is the remainder of the dict.  Over F_p scale is 1; over
-        Q the dict holds integers, R is primitive and scale a Fraction."""
+        R / scale is the remainder of the dict, largest term first.  Over
+        F_p scale is 1; over Q the dict holds integers, R is primitive and
+        scale a Fraction.
+
+        Under a signature key bound, a member reduces a term only when its
+        signature shifted onto that term is smaller than the bound.  When
+        the remainder's leading term is divisible only by members whose
+        shifted signature is not smaller, and one of them equals the bound,
+        the polynomial is redundant and the result is None."""
         p = self.p
         coeff = dict(fdict)
         keyd = self.keyd
@@ -291,15 +337,18 @@ class _Engine:
         out: dict = {}
         scale = 1  # product of the factors the working polynomial took
         blt = self.blt
+        blk = self.blk
         blc = self.blc
         btail = self.btail
+        bkey = self.bkey
         reducers = self._reducers
-        alive = self.alive
+        nb = len(blt)
         find = self.find_reducer
+        divides = self.divides
         push = heapq.heappush
         pop = heapq.heappop
         while heap:
-            e = pop(heap)[1]
+            kd, e = pop(heap)
             # a pending coefficient is reduced mod p only here; a term that
             # cancelled stays pending as a zero
             c = coeff.pop(e)
@@ -307,11 +356,26 @@ class _Engine:
                 c %= p
             if not c:
                 continue
-            # a remembered live reducer, else the scan of find_reducer
+            # a remembered first divisor or a miss over all nb members, else
+            # the scan of find_reducer; under a bound, bkey + key_asc(e) <
+            # bound reads bkey < lim
             idx = reducers.get(e, -1)
-            if idx < 0 or not alive[idx]:
-                idx = find(e)
+            if bound is None:
+                if idx < 0 and ~idx < nb:
+                    idx = find(e)
+            else:
+                lim = bound + kd
+                if idx >= 0 and bkey[idx] >= lim or idx < 0 and ~idx < nb:
+                    idx = find(e, lim)
             if idx < 0:
+                if bound is not None and not out:
+                    # the leading term, and no member of smaller signature
+                    # divides it: redundant when a divisor has the bound's
+                    # signature (from the remembered first divisor on)
+                    r = reducers.get(e, -1)
+                    if r >= 0 and any(bkey[k] == lim and divides(blt[k], e)
+                                      for k in range(r, len(blt))):
+                        return None
                 out[e] = c
                 continue
             self.tick()
@@ -326,13 +390,16 @@ class _Engine:
                 q = c // h
             else:
                 q = c // a
+            # keys are affine in the exponents, so te = me + shift has the
+            # key of me plus that of shift
             shift = e - blt[idx]
-            for me, gc in btail[idx]:
+            kshift = kd - blk[idx]
+            for me, gc, km in btail[idx]:
                 te = me + shift
                 old = coeff.get(te)
                 if old is None:
                     coeff[te] = -q * gc
-                    push(heap, (keyd(te), te))
+                    push(heap, (km + kshift, te))
                 else:
                     coeff[te] = old - q * gc
         if p:
@@ -346,8 +413,8 @@ class _Engine:
 
     def normalize(self, d: dict) -> dict:
         """Monic over F_p; over Q primitive with a positive leading
-        coefficient."""
-        lc = d[min(d, key=self.keyd)]
+        coefficient.  The first term of d is its leading term."""
+        lc = next(iter(d.values()))
         if self.modp:
             if lc == 1:
                 return d
@@ -360,30 +427,6 @@ class _Engine:
         if content == 1:
             return d
         return {e: c // content for e, c in d.items()}
-
-    def spoly(self, i: int, j: int, l: int) -> dict:
-        """S-polynomial of two basis members, as an encoded dict: over Q the
-        integer combination (a_j/h) x^(l - lt_i) g_i - (a_i/h) x^(l - lt_j)
-        g_j of members with leading coefficients a_i, a_j, h = gcd(a_i, a_j)."""
-        p = self.p
-        ai = self.blc[i]
-        aj = self.blc[j]
-        h = gcd(ai, aj)
-        fi = aj // h
-        fj = ai // h
-        si = l - self.blt[i]
-        sj = l - self.blt[j]
-        d = {me + si: fi * c for me, c in self.btail[i]}
-        for me, c in self.btail[j]:
-            te = me + sj
-            nv = d.get(te, 0) - fj * c
-            if p:
-                nv %= p
-            if nv:
-                d[te] = nv
-            else:
-                del d[te]
-        return d
 
 
 def _resolve_ring(gens: Sequence[Polynomial], ring: PolyRing | None) -> PolyRing:
@@ -403,7 +446,25 @@ def groebner_basis(gens: Iterable[Polynomial], ring: PolyRing | None = None, *,
 
 
 def _buchberger(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
-    """Reduced basis of the generators for the order of the engine's ring."""
+    """Reduced basis of the generators for the order of the engine's ring.
+
+    A signature-based run.  Generator i has the signature (i, 1), and
+    signatures compare position over term: the generators are taken in the
+    caller's order and position i runs to the end before i + 1 starts.
+    Within a position the signatures of the S-pairs are taken in
+    increasing order, each once.  For a signature T the polynomial reduced
+    is t * g for the member g whose signature divides T with the smallest
+    leading term t * lt(g), the newest among equals (the rewrite
+    criterion); other pairs of signature T are never formed.  The
+    reduction uses only reducers of smaller signature; a zero result
+    records T as a syzygy, a result whose leading term only a multiple of
+    signature T divides is dropped, and any other becomes a member of
+    signature T.
+
+    A signature (i, s) is one integer key, i * base + key_asc(s), and since
+    every order key is an affine function of the exponents, the member g
+    shifted by the monomial u has the key bkey[g] + key_asc(u * lt(g)).
+    """
     seen = set()
     start = []
     for g in gens:
@@ -417,70 +478,97 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
     if not start:
         return GroebnerBasis(eng.ring, ())
 
-    pairs: list = []
-    for d in start:
-        _gm_update(eng, pairs, d)
-    while pairs:
-        _, l, i, j = heapq.heappop(pairs)
-        nf, _ = eng.reduce_full(eng.spoly(i, j, l))
-        if nf:
-            _gm_update(eng, pairs, eng.normalize(nf))
+    keyd = eng.keyd
+    divides = eng.divides
+    bsig = eng.bsig
+    bkey = eng.bkey
+    # larger than the ascending key of any monomial
+    top = eng.ring.order.key_asc((_FIELD_MASK >> 1,) * eng.n)
+    base = 1 << top.bit_length()
+    for pos, f in enumerate(start):
+        lower = len(eng.blt)  # members 0 .. lower - 1 have earlier positions
+        # the minimal leading terms of those members, for the F5 criterion
+        earlier: list[int] = []
+        for lt in sorted(eng.blt, key=keyd, reverse=True):
+            if not any(divides(e, lt) for e in earlier):
+                earlier.append(lt)
+        syz: list[int] = []   # signature monomials of zero reductions here
+        queue: dict = {}      # signature key -> signature monomial
+        heap: list[int] = []  # the keys of queue
+        sig, mon, poly = pos * base - keyd(0), 0, f
+        while True:
+            red = eng.reduce_full(poly, sig)
+            if red is not None:
+                if red[0]:
+                    _add_member(eng, eng.normalize(red[0]), sig, mon, lower,
+                                earlier, syz, queue, heap)
+                else:
+                    eng.zero_reductions += 1
+                    syz.append(mon)
+            while heap:
+                sig = heapq.heappop(heap)
+                mon = queue.pop(sig)
+                if not (syz and any(divides(z, mon) for z in syz)):
+                    break
+            else:
+                break
+            # the rewriter: the largest bkey gives the smallest leading term
+            g = -1
+            for j in range(lower, len(bsig)):
+                if divides(bsig[j], mon) and (g < 0 or bkey[j] >= bkey[g]):
+                    g = j
+            poly = eng.shifted(g, mon - bsig[g])
     return _finalize(eng)
 
 
-def _gm_update(eng: _Engine, pairs: list, d: dict):
-    """Gebauer-Moeller pair update: insert a new basis element, queue only
-    the S-pairs the standard criteria cannot discard."""
+def _add_member(eng: _Engine, d: dict, sig: int, mon: int, lower: int,
+                earlier: list, syz: list, queue: dict, heap: list):
+    """Append a member of signature key sig and signature monomial mon, and
+    queue the signatures of its S-pairs with the older members.
+
+    A pair's signature is the larger of its two shifted signatures; a pair
+    whose two sides have equal signatures is never queued.  The F5 criterion
+    drops a pair when one of the earlier positions' minimal leading terms
+    divides the signature monomial, and the syzygy criterion when a zero
+    reduction of this position has a signature dividing it.
+    """
     m = len(eng.blt)
     eng.add_basis_poly(d)
     blt = eng.blt
-    alive = eng.alive
+    bkey = eng.bkey
+    bsig = eng.bsig
+    lt = blt[m]
+    key = sig + eng.blk[m]
+    bsig.append(mon)
+    bkey.append(key)
     guard = eng.guard
     lcm = eng.lcm
-    ltm = blt[m]
-
-    # divisibility inlined: a divides b when (b | guard) - a borrows no
-    # guard bit
-    cand = [(lcm(blt[i], ltm), i) for i in range(m) if alive[i]]
-    # drop a candidate when another new pair's lcm properly divides its lcm
-    kept = []
-    for l1, i1 in cand:
-        g1 = l1 | guard
-        if not any(l2 != l1 and (g1 - l2) & guard == guard for l2, _ in cand):
-            kept.append((l1, i1))
-    # one pair per lcm value, or none when that lcm admits a coprime pair
-    by_lcm: dict[int, list[int]] = {}
-    for l, i in kept:
-        by_lcm.setdefault(l, []).append(i)
-    new_pairs = []
-    for l, idxs in by_lcm.items():
-        if any(l == blt[i] + ltm for i in idxs):
+    keyd = eng.keyd
+    for k in range(m):
+        # the shifted signatures of both sides have the lcm's key in common
+        if k < lower or bkey[k] < key:
+            side = m
+        elif bkey[k] > key:
+            side = k
+        else:
             continue
-        new_pairs.append((l, min(idxs)))
-
-    # chain criterion against queued pairs from earlier rounds
-    if pairs:
-        survivors = [
-            entry for entry in pairs
-            if not (((entry[1] | guard) - ltm) & guard == guard
-                    and lcm(blt[entry[2]], ltm) != entry[1]
-                    and lcm(blt[entry[3]], ltm) != entry[1])
-        ]
-        if len(survivors) != len(pairs):
-            pairs[:] = survivors
-            heapq.heapify(pairs)
-
-    # retire members whose leading term the newcomer strictly divides
-    for i in range(m):
-        if alive[i] and ((blt[i] | guard) - ltm) & guard == guard:
-            alive[i] = False
-
-    for l, i in new_pairs:
-        heapq.heappush(pairs, (eng.keya(l), l, i, m))
+        l = lcm(blt[k], lt)
+        smon = bsig[side] + l - blt[side]
+        g = smon | guard
+        # an older member of an earlier position is the likeliest cover
+        if k < lower and (g - blt[k]) & guard == guard or any(
+                (g - e) & guard == guard for e in earlier):
+            continue
+        if syz and any((g - z) & guard == guard for z in syz):
+            continue
+        s = bkey[side] - keyd(l)
+        if s not in queue:
+            queue[s] = smon
+            heapq.heappush(heap, s)
 
 
 def _finalize(eng: _Engine) -> GroebnerBasis:
-    order = [(eng.keyd(lt), idx) for idx, lt in enumerate(eng.blt) if eng.alive[idx]]
+    order = [(eng.keyd(lt), idx) for idx, lt in enumerate(eng.blt)]
     order.sort(reverse=True)  # ascending leading terms
     kept: list[int] = []
     for _, idx in order:
@@ -497,15 +585,15 @@ def _finalize(eng: _Engine) -> GroebnerBasis:
     red._keyd = eng._keyd
     for idx in kept:
         red.add_basis_poly({eng.blt[idx]: eng.blc[idx],
-                            **dict(eng.btail[idx])})
+                            **{e: c for e, c, _ in eng.btail[idx]}})
     members = []
     for k, lt in enumerate(red.blt):
-        rem, scale = red.reduce_full(dict(red.btail[k]))
+        rem, scale = red.reduce_full({e: c for e, c, _ in red.btail[k]})
         # the member is lc * lt + rem / scale
         d = red.normalize({lt: red.blc[k] * scale.numerator,
                            **{e: c * scale.denominator for e, c in rem.items()}})
         red.blc[k] = d[lt]
-        red.btail[k] = list(d.items())[1:]
+        red.btail[k] = [(e, c, red.keyd(e)) for e, c in d.items() if e != lt]
         members.append(d)
     eng.steps = red.steps
     return GroebnerBasis(eng.ring, tuple(
@@ -564,7 +652,10 @@ def _eliminate(gens: list[Polynomial], ring: PolyRing, drop: Sequence[str],
     step of FGLM).  Otherwise a block-order Buchberger run starts from G's
     members, the cheap end of a Groebner walk: G generates the same ideal
     and reduced bases are unique, so the result is that of block
-    elimination from the generators.  Both steps charge one step budget.
+    elimination from the generators.  The members go in smallest leading
+    term first: on the twisted cubic family that takes the block run less
+    than half the steps of largest first.  Both steps charge one step
+    budget.
     """
     head, tail = _split_variables(ring, drop)
     names = head + tail
@@ -576,7 +667,8 @@ def _eliminate(gens: list[Polynomial], ring: PolyRing, drop: Sequence[str],
         return _minimal_polynomial(eng, gb, tail[0])
     work = PolyRing(names, field=ring.field, order=BlockElim(len(head)))
     return _block_eliminate(_Engine(work, budget, stage, eng.steps),
-                            [Polynomial(work, p.terms) for p in gb.polys])
+                            [Polynomial(work, p.terms)
+                             for p in reversed(gb.polys)])
 
 
 def _split_variables(ring: PolyRing, drop: Sequence[str]) -> tuple[list, list]:

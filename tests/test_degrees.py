@@ -228,7 +228,7 @@ class TestExperiments:
         assert exp.spec == spec
         assert exp.degree == 2 and exp.stable
 
-    @pytest.mark.parametrize("n, d, enough", [(2, 3, 432), (2, 4, 1301)])
+    @pytest.mark.parametrize("n, d, enough", [(2, 3, 278), (2, 4, 735)])
     def test_modp_step_ledger(self, n, d, enough):
         # the first replica's saturation over F_32003 spends exactly
         # enough - 1 reduction steps before it needs one more; a kernel

@@ -124,6 +124,23 @@ class TestOrders:
             assert asc == sorted(mons, key=cmp_to_key(cmp)), order
             assert sorted(mons, key=order.key_desc) == asc[::-1], order
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_keys_are_affine_in_the_exponents(self, n):
+        # the Groebner engine's signature keys rest on
+        # key(a + b) = key(a) + key(b) - key(0)
+        rng = random.Random(10 + n)
+        half = EXP_LIMIT // 2
+        orders = [LEX, GREVLEX] + [BlockElim(k) for k in range(n + 1)]
+        zero = (0,) * n
+        for _ in range(200):
+            a = tuple(rng.choice((0, 1, rng.randrange(half))) for _ in range(n))
+            b = tuple(rng.choice((0, 1, rng.randrange(half))) for _ in range(n))
+            total = tuple(map(sum, zip(a, b)))
+            for order in orders:
+                assert order.key_asc(total) == (order.key_asc(a)
+                                                + order.key_asc(b)
+                                                - order.key_asc(zero)), order
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exponent_limit(self, n):
         orders = [LEX, GREVLEX] + [BlockElim(k) for k in range(n + 1)]

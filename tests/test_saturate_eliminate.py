@@ -3,14 +3,12 @@
 Every test wraps the primitive where the pipelines call it and recomputes
 each call as (<gens> + <1 - t*g>) in a block order that puts t and the
 dropped variables first, keeping the basis members free of that block.
-The two bases must be equal, generator for generator.  Where that oracle
-takes too long over Q, it runs over F_32003 on the images of the
-generators and is compared with the image of the rational result.
+The two bases must be equal, generator for generator.
 """
 import pytest
 
 from voronoi_cells import degrees, groebner, voronoi
-from voronoi_cells.exactmath import BlockElim, PolyRing, PrimeField
+from voronoi_cells.exactmath import BlockElim, PolyRing
 from voronoi_cells.groebner import (
     BudgetExhaustedError,
     IdealSpec,
@@ -37,15 +35,9 @@ def block_oracle(gens, g, drop, ring):
     return sub, tuple(kept)
 
 
-def reduce_mod(f, ring):
-    """The image of a rational polynomial in a ring over F_p."""
-    return ring.from_terms({m: ring.field.coerce(c) for m, c in f.terms.items()})
-
-
-def install_oracle(monkeypatch, field=None):
+def install_oracle(monkeypatch):
     """Check every saturate_eliminate call of the pipelines against the
-    oracle, run over field when given; returns the list of (result,
-    route) per call."""
+    oracle; returns the list of (result, route) per call."""
     calls = []
     routes = []
 
@@ -62,16 +54,9 @@ def install_oracle(monkeypatch, field=None):
     def wrapped(gens, g, drop, ring=None, **kwargs):
         before = len(routes)
         out = saturate_eliminate(gens, g, drop, ring, **kwargs)
-        if field is None:
-            sub, want = block_oracle(gens, g, drop, ring)
-            assert out.ring == sub
-            assert out.polys == want
-        else:
-            ring_p = PolyRing(ring.variables, field=field, order=ring.order)
-            sub, want = block_oracle([reduce_mod(f, ring_p) for f in gens],
-                                     reduce_mod(g, ring_p), drop, ring_p)
-            assert out.ring.variables == sub.variables
-            assert tuple(reduce_mod(p, sub) for p in out.polys) == want
+        sub, want = block_oracle(gens, g, drop, ring)
+        assert out.ring == sub
+        assert out.polys == want
         assert len(routes) == before + 1
         calls.append((out, routes[-1]))
         return out
@@ -88,11 +73,6 @@ def install_oracle(monkeypatch, field=None):
 @pytest.fixture
 def checked(monkeypatch):
     return install_oracle(monkeypatch)
-
-
-@pytest.fixture
-def checked_mod_p(monkeypatch):
-    return install_oracle(monkeypatch, PrimeField(32003))
 
 
 @pytest.mark.parametrize("n, d, homogeneous", [
@@ -171,12 +151,10 @@ def test_cusp_at_the_origin(checked):
 
 
 @pytest.mark.parametrize("point", [(1, 1, 1), ("1/2", "1/4", "1/8")])
-def test_twisted_cubic_off_the_origin(checked_mod_p, point):
-    # over Q, block elimination from the raw generators takes from 20 s to
-    # minutes per point, so the oracle runs mod p
+def test_twisted_cubic_off_the_origin(checked, point):
     spec = IdealSpec.from_strings(("x1", "x2", "x3"), TWISTED_CUBIC)
     report = voronoi.voronoi_ideal(spec, point)
-    assert [route for _, route in checked_mod_p] == [("block",)] * 3
+    assert [route for _, route in checked] == [("block",)] * 3
     assert report.degree == 4
 
 
