@@ -535,6 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--output", metavar="PATH",
                         help="write the report here instead of stdout")
+    budget_help = ("reduction-step cap of each Groebner computation (each "
+                   "saturation, intersection and interreduction), not of "
+                   "the whole run")
 
     p = sub.add_parser("voronoi", parents=[common],
                        help="Voronoi ideal and boundary at a point")
@@ -543,8 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base point, JSON array of rationals as strings")
     p.add_argument("--allow-singular", action="store_true",
                    help="accept a singular base point")
-    p.add_argument("--budget", type=int, default=None,
-                   help="S-pair reduction cap")
+    p.add_argument("--budget", type=int, default=None, help=budget_help)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the report")
     p.set_defaults(func=cmd_voronoi)
@@ -562,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the conjectured closed-form value")
     p.add_argument("--force", action="store_true",
                    help="run sizes outside the desk-scale whitelist")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help=budget_help)
     p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("formula", parents=[common],

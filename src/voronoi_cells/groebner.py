@@ -23,7 +23,8 @@ divisor reduces only when its shifted signature is smaller, and the scan
 goes on past the ones that are not.  The final interreduction puts the kept
 members into one engine in ascending order and reduces each tail there,
 writing it back; a tail term lies below its own leading term, so only the
-other members divide it.
+other members divide it.  That engine then holds the reduced basis, and
+the minimal polynomial of the line route (below) reduces in it.
 
 Over F_p basis members are monic, so the kernel never scales.  Over Q the
 engine reduces fraction-free: basis members are primitive integer
@@ -55,8 +56,11 @@ leading term first, which makes them canonical for the ring's order.
 Elimination, saturation and intersection share one route: the grevlex
 basis of the generators comes first; a single kept variable over a
 zero-dimensional basis then takes the minimal polynomial of
-multiplication by that variable, and anything else a block-order run
-started from the grevlex basis, smallest leading term first.
+multiplication by that variable, reduced in the engine that holds the
+basis, and anything else a block-order run started from the grevlex
+basis, smallest leading term first.  Saturation feeds a square system
+(at most as many generators as variables) in by increasing degree, and an
+overdetermined one in the caller's order with 1 - t*g last.
 """
 from __future__ import annotations
 
@@ -442,11 +446,12 @@ def groebner_basis(gens: Iterable[Polynomial], ring: PolyRing | None = None, *,
     """Reduced Groebner basis for the ring's own monomial order."""
     gens = [g for g in gens]
     ring = _resolve_ring(gens, ring)
-    return _buchberger(_Engine(ring, budget, stage), gens)
+    return _basis(_buchberger(_Engine(ring, budget, stage), gens))
 
 
-def _buchberger(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
-    """Reduced basis of the generators for the order of the engine's ring.
+def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
+    """Reduced basis of the generators for the order of the engine's ring,
+    held by the engine that _finalize returns.
 
     A signature-based run.  Generator i has the signature (i, 1), and
     signatures compare position over term: the generators are taken in the
@@ -476,7 +481,7 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
             seen.add(key)
             start.append(d)
     if not start:
-        return GroebnerBasis(eng.ring, ())
+        return _finalize(eng)
 
     keyd = eng.keyd
     divides = eng.divides
@@ -567,7 +572,11 @@ def _add_member(eng: _Engine, d: dict, sig: int, mon: int, lower: int,
             heapq.heappush(heap, s)
 
 
-def _finalize(eng: _Engine) -> GroebnerBasis:
+def _finalize(eng: _Engine) -> _Engine:
+    """A new engine that holds the reduced basis of the ideal that the
+    engine's members, a Groebner basis, generate: the minimal members,
+    tail-reduced and normalized, smallest leading term first.  It charges
+    the same budget and shares the key cache."""
     order = [(eng.keyd(lt), idx) for idx, lt in enumerate(eng.blt)]
     order.sort(reverse=True)  # ascending leading terms
     kept: list[int] = []
@@ -586,7 +595,6 @@ def _finalize(eng: _Engine) -> GroebnerBasis:
     for idx in kept:
         red.add_basis_poly({eng.blt[idx]: eng.blc[idx],
                             **{e: c for e, c, _ in eng.btail[idx]}})
-    members = []
     for k, lt in enumerate(red.blt):
         rem, scale = red.reduce_full({e: c for e, c, _ in red.btail[k]})
         # the member is lc * lt + rem / scale
@@ -594,11 +602,16 @@ def _finalize(eng: _Engine) -> GroebnerBasis:
                            **{e: c * scale.denominator for e, c in rem.items()}})
         red.blc[k] = d[lt]
         red.btail[k] = [(e, c, red.keyd(e)) for e, c in d.items() if e != lt]
-        members.append(d)
-    eng.steps = red.steps
-    return GroebnerBasis(eng.ring, tuple(
-        red.dict_to_poly(d, d[lt])
-        for lt, d in zip(reversed(red.blt), reversed(members))))
+    return red
+
+
+def _basis(red: _Engine) -> GroebnerBasis:
+    """The reduced basis a _finalize engine holds, decoded and made monic,
+    largest leading term first."""
+    return GroebnerBasis(red.ring, tuple(
+        red.dict_to_poly({lt: lc, **{e: c for e, c, _ in tail}}, lc)
+        for lt, lc, tail in zip(reversed(red.blt), reversed(red.blc),
+                                reversed(red.btail))))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis, *, budget: int | None = None) -> Polynomial:
@@ -626,7 +639,7 @@ def interreduce(polys: Iterable[Polynomial], ring: PolyRing | None = None, *,
     eng = _Engine(ring, budget, "interreduction")
     for p in polys:
         eng.add_basis_poly(eng.normalize(eng.poly_to_dict(p)[0]))
-    return _finalize(eng).polys
+    return _basis(_finalize(eng)).polys
 
 
 def eliminate(gens: Iterable[Polynomial], drop: Sequence[str], ring: PolyRing | None = None, *,
@@ -649,7 +662,8 @@ def _eliminate(gens: list[Polynomial], ring: PolyRing, drop: Sequence[str],
     is zero-dimensional, the answer is the minimal polynomial of
     multiplication by s on the quotient, read off the first linear
     dependence among the normal forms of 1, s, s^2, ... (the univariate
-    step of FGLM).  Otherwise a block-order Buchberger run starts from G's
+    step of FGLM), reduced in the engine that interreduced G, without
+    decoding G.  Otherwise a block-order Buchberger run starts from G's
     members, the cheap end of a Groebner walk: G generates the same ideal
     and reduced bases are unique, so the result is that of block
     elimination from the generators.  The members go in smallest leading
@@ -661,14 +675,15 @@ def _eliminate(gens: list[Polynomial], ring: PolyRing, drop: Sequence[str],
     names = head + tail
     grevlex = PolyRing(names, field=ring.field, order=GREVLEX)
     var_map = [grevlex.index_of(v) for v in ring.variables]
-    eng = _Engine(grevlex, budget, stage)
-    gb = _buchberger(eng, [f.map_ring(grevlex, var_map) for f in gens])
-    if len(tail) == 1 and is_zero_dimensional(gb):
-        return _minimal_polynomial(eng, gb, tail[0])
+    red = _buchberger(_Engine(grevlex, budget, stage),
+                      [f.map_ring(grevlex, var_map) for f in gens])
+    if len(tail) == 1 and _zero_dimensional(map(red.decode, red.blt),
+                                            red.n):
+        return _minimal_polynomial(red, tail[0])
     work = PolyRing(names, field=ring.field, order=BlockElim(len(head)))
-    return _block_eliminate(_Engine(work, budget, stage, eng.steps),
+    return _block_eliminate(_Engine(work, budget, stage, red.steps),
                             [Polynomial(work, p.terms)
-                             for p in reversed(gb.polys)])
+                             for p in reversed(_basis(red).polys)])
 
 
 def _split_variables(ring: PolyRing, drop: Sequence[str]) -> tuple[list, list]:
@@ -687,7 +702,7 @@ def _block_eliminate(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
     grevlex ring on the remaining variables."""
     work = eng.ring
     k = work.order.k
-    gb = _buchberger(eng, gens)
+    gb = _basis(_buchberger(eng, gens))
     tail = work.variables[k:]
     sub = PolyRing(tail, field=work.field, order=GREVLEX)
     # block order: a head-free leading term forces a head-free polynomial
@@ -739,6 +754,14 @@ def saturate_eliminate(gens: Iterable[Polynomial], g: Polynomial,
 
     The saturation adds 1 - t*g for a fresh variable t, which is then
     eliminated together with the dropped variables.
+
+    The signature loop takes its input in the order given here.  A system
+    with at most as many generators as variables (the critical systems of
+    curves) goes in by increasing total degree, ties in the caller's order,
+    the incremental order F5 is designed for: on the plane quartics of the
+    degree lab it takes 38 % fewer reduction steps.  An overdetermined
+    system (the dependent minors of a surface) keeps the caller's order
+    with 1 - t*g last, because sorting it costs up to 2.3 times the steps.
     """
     gens = list(gens)
     ring = _resolve_ring(gens + [g], ring)
@@ -747,13 +770,17 @@ def saturate_eliminate(gens: Iterable[Polynomial], g: Polynomial,
     var_map = list(range(1, work.nvars))
     moved = [f.map_ring(work, var_map) for f in gens]
     moved.append(work.one() - work.variable(tname) * g.map_ring(work, var_map))
+    if len(gens) <= ring.nvars:
+        moved.sort(key=Polynomial.total_degree)
     return _eliminate(moved, work, [tname, *drop], budget, stage)
 
 
-def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerBasis:
-    """Monic generator of the ideal of gb intersected with k[name].
+def _minimal_polynomial(eng: _Engine, name: str) -> GroebnerBasis:
+    """Monic generator of the ideal of the engine's basis intersected with
+    k[name].
 
-    gb must be a zero-dimensional reduced basis of the engine's ring.  The
+    The engine must hold a zero-dimensional reduced basis, as _finalize
+    leaves it, and the normal forms are reduced against its members.  The
     normal forms NF(s^i) = NF(s * NF(s^(i-1))) are echeloned as they come;
     the first one that reduces to zero gives the dependence.  The kernel
     reduces s * R(i-1) for the remainder R(i-1) = lam(i-1) * NF(s^(i-1)) it
@@ -766,12 +793,8 @@ def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerB
     c(i) * lam(i), made monic.
     """
     field = eng.field
-    nf_eng = _Engine(gb.ring, eng.budget, eng.stage, eng.steps)
-    nf_eng._keyd = eng._keyd
-    for g in gb.polys:
-        nf_eng.add_basis_poly(nf_eng.poly_to_dict(g)[0])
-    shift = 1 << (_W * gb.ring.index_of(name))
-    p = nf_eng.p
+    shift = 1 << (_W * eng.ring.index_of(name))
+    p = eng.p
 
     def axpy(y: dict, a: int, x: dict, b: int):
         # y <- b * y - a * x in place, mod p over F_p (where b is 1)
@@ -789,7 +812,7 @@ def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerB
 
     rows: list = []  # (pivot, vector, its combination of remainders)
     lams: list = []  # R(i) = lams[i] * NF(s^i)
-    rem, lam = nf_eng.reduce_full({0: 1})
+    rem, lam = eng.reduce_full({0: 1})
     while True:
         vec = dict(rem)
         combo = {len(lams): 1}
@@ -802,7 +825,7 @@ def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerB
                 axpy(combo, c, row_combo, lead)
         if not vec:
             break
-        pivot = min(vec, key=nf_eng.keyd)
+        pivot = min(vec, key=eng.keyd)
         if p:
             inv = field.inv(vec[pivot])
             vec = {e: inv * c % p for e, c in vec.items()}
@@ -813,7 +836,7 @@ def _minimal_polynomial(eng: _Engine, gb: GroebnerBasis, name: str) -> GroebnerB
                 vec = {e: v // content for e, v in vec.items()}
                 combo = {m: v // content for m, v in combo.items()}
         rows.append((pivot, vec, combo))
-        rem, mu = nf_eng.reduce_full({e + shift: c for e, c in rem.items()})
+        rem, mu = eng.reduce_full({e + shift: c for e, c in rem.items()})
         lam *= mu
     if not p:
         # the newest remainder's coefficient is never cleared
@@ -854,16 +877,21 @@ def intersect(gens_a: Iterable[Polynomial], gens_b: Iterable[Polynomial],
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     """True when the quotient ring is a finite-dimensional vector space."""
-    if gb.is_unit_ideal():
-        return True
-    if not gb.polys:
-        return gb.ring.nvars == 0
+    return _zero_dimensional(gb.leading_monomials(), gb.ring.nvars)
+
+
+def _zero_dimensional(leads: Iterable[tuple[int, ...]], nvars: int) -> bool:
+    """True when the leading monomials of a reduced basis leave a finite
+    quotient: one of them is 1, or each variable has a pure power among
+    them."""
     pure = set()
-    for lead in gb.leading_monomials():
+    for lead in leads:
         support = [i for i, e in enumerate(lead) if e]
+        if not support:
+            return True
         if len(support) == 1:
             pure.add(support[0])
-    return len(pure) == gb.ring.nvars
+    return len(pure) == nvars
 
 
 def quotient_degree(gb: GroebnerBasis) -> int:

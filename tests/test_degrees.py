@@ -1,7 +1,7 @@
 """Degree formulas, golden tables, and finite-field measurements."""
 import pytest
 
-from voronoi_cells import degrees
+from voronoi_cells import degrees, groebner
 from voronoi_cells.degrees import (
     DegreeExperiment,
     TABLE_HOMOGENEOUS,
@@ -228,17 +228,38 @@ class TestExperiments:
         assert exp.spec == spec
         assert exp.degree == 2 and exp.stable
 
-    @pytest.mark.parametrize("n, d, enough", [(2, 3, 278), (2, 4, 735)])
+    @pytest.mark.parametrize("n, d, enough", [
+        (2, 3, 188), (2, 4, 456), (3, 2, 296), (3, 3, 2161)])
     def test_modp_step_ledger(self, n, d, enough):
         # the first replica's saturation over F_32003 spends exactly
         # enough - 1 reduction steps before it needs one more; a kernel
-        # that picks another reducer or S-pair moves this boundary
+        # that picks another reducer or S-pair moves this boundary, and so
+        # does an input order other than increasing degree for the square
+        # plane systems (n = 2) or the caller's order for the
+        # overdetermined space ones (n = 3)
         with pytest.raises(BudgetExhaustedError) as err:
             hypersurface_degree_experiment(n, d, seed=0, budget=enough - 1)
         assert err.value.stage == "saturation"
         assert err.value.budget == enough - 1
         exp = hypersurface_degree_experiment(n, d, seed=0, budget=enough)
         assert exp.degree == conjecture_hypersurface(n, d)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_square_saturations_make_no_zero_reduction(self, monkeypatch, d):
+        # a plane critical system has as many generators as variables, so
+        # it enters the signature loop with 1 - t*g by increasing degree;
+        # in the caller's order each replica reduces one S-pair to zero
+        zeros = []
+        real = groebner._buchberger
+
+        def counted(eng, gens):
+            out = real(eng, gens)
+            zeros.append(eng.zero_reductions)
+            return out
+
+        monkeypatch.setattr(groebner, "_buchberger", counted)
+        hypersurface_degree_experiment(2, d, seed=0)
+        assert zeros == [0, 0, 0]
 
     def test_rejects_rational_field(self):
         spec = IdealSpec.from_strings(("x1", "x2"), ["x2 - x1^2"])

@@ -41,9 +41,10 @@ def install_oracle(monkeypatch):
     calls = []
     routes = []
 
-    def minimal_polynomial(eng, gb, name):
-        out = real_minpoly(eng, gb, name)
-        routes.append(("line", quotient_degree(gb),
+    def minimal_polynomial(eng, name):
+        # the line route reads the reduced grevlex basis the engine holds
+        out = real_minpoly(eng, name)
+        routes.append(("line", quotient_degree(groebner._basis(eng)),
                        out.polys[0].total_degree()))
         return out
 
