@@ -213,9 +213,12 @@ def emit(report: dict | str, output: str | None) -> None:
 def _component_is_real(component) -> bool | None:
     """Sturm certificate where one is cheap, None where it is not.
 
-    Components come only from line reports over Q.  A single-variable
-    generator with no real roots kills the whole component; an all-linear
-    component is a nonempty rational subspace.
+    Components come only from line reports over Q, as reduced bases.  A
+    single-variable generator with no real roots kills the whole component.
+    An all-linear component is a nonempty rational subspace, and so is one
+    whose only nonlinear generator is univariate with a real root: no
+    linear generator of a reduced basis leads with that variable, so each
+    real root extends to a real point.
     """
     gens = component.generators
     for g in gens:
@@ -223,7 +226,9 @@ def _component_is_real(component) -> bool | None:
             var = g.variables_used()[0]
             if count_real_roots(dense_from_poly(g, var=var)) == 0:
                 return False
-    if all(g.total_degree() <= 1 for g in gens):
+    nonlinear = [g for g in gens if g.total_degree() > 1]
+    if len(nonlinear) <= 1 and all(len(g.variables_used()) == 1
+                                   for g in nonlinear):
         return True
     return None
 
@@ -307,10 +312,9 @@ def cmd_degree(args) -> int:
         print(f"warning: (n={args.n}, d={args.d}) is outside the "
               "desk-scale whitelist", file=sys.stderr)
     budget = resolve_budget(args.budget)
-    partner = 65537 if args.prime != 65537 else 32003
     experiment = hypersurface_degree_experiment(
         args.n, args.d, homogeneous=args.homogeneous, seed=args.seed,
-        primes=(args.prime, partner, args.prime), budget=budget)
+        prime=args.prime, budget=budget)
     body = {
         "schema": SCHEMA_VERSION,
         "command": "degree",

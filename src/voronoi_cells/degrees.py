@@ -14,7 +14,6 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 from .exactmath.fields import PrimeField
 from .exactmath.orders import GREVLEX
@@ -42,6 +41,8 @@ class UnluckySliceError(RuntimeError):
 
 # fresh draws a replica may take after a singular point or an unlucky slice
 MAX_RESEEDS = 5
+# runs per measurement, each from its own seed
+REPLICAS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ def _sliced_degree_once(spec: IdealSpec, point, seed: int, budget) -> int:
             lin = lin + (sring.variable(i) - sring.constant(point[i])).scale(c)
 
     parametric = saturate_eliminate(gens, lin, ring.variables, sring,
-                                    budget=budget, stage="saturation")
+                                    budget=budget)
     if not is_zero_dimensional(parametric):
         raise UnluckySliceError(
             f"sliced system is not zero-dimensional (k={k})")
@@ -258,7 +259,7 @@ def _sliced_degree_once(spec: IdealSpec, point, seed: int, budget) -> int:
 
 
 def voronoi_degree_modp(spec: IdealSpec, point, *,
-                        seed: int = 0, replicas: int = 3,
+                        seed: int = 0,
                         budget: int | None = None) -> DegreeExperiment:
     """Measure the Voronoi degree of V(I) at y over its prime field.
 
@@ -273,31 +274,32 @@ def voronoi_degree_modp(spec: IdealSpec, point, *,
         raise ValueError("degree experiments run over a prime field")
     runs = [_run_with_reseeds(lambda _: (spec, point), seed + i, field.p,
                               budget, UnluckySliceError)[0]
-            for i in range(replicas)]
+            for i in range(REPLICAS)]
     return _stabilize(spec, point, seed, field.p, runs)
 
 
 def hypersurface_degree_experiment(n: int, d: int, *,
                                    homogeneous: bool = False, seed: int = 0,
-                                   primes: Sequence[int] = (32003, 65537,
-                                                            32003),
+                                   prime: int = 32003,
                                    budget: int | None = None
                                    ) -> DegreeExperiment:
     """Measured Voronoi degree of a random degree-d hypersurface in n-space.
 
-    Replica i generates its own hypersurface from seed + i over primes[i],
-    so stability spans both the randomness and the choice of prime.  The
-    homogeneous variant samples y on the cone away from the hyperplane
-    y1 = 0 and measures the degree there.  The report carries the
+    Replica i generates its own hypersurface from seed + i, over prime for
+    even i and over a partner prime (65537, or 32003 when prime is 65537)
+    for odd i, so stability spans both the randomness and the choice of
+    prime.  The homogeneous variant samples y on the cone away from the
+    hyperplane y1 = 0 and measures the degree there.  The report carries the
     hypersurface and point of replica 0's successful attempt.
     """
+    partner = 65537 if prime != 65537 else 32003
+    primes = [partner if i % 2 else prime for i in range(REPLICAS)]
     results = [_run_with_reseeds(
-        lambda s: random_hypersurface(n, d, prime, s, homogeneous=homogeneous),
-        seed + i, prime, budget, (SingularPointError, UnluckySliceError))
-        for i, prime in enumerate(primes)]
+        lambda s: random_hypersurface(n, d, p, s, homogeneous=homogeneous),
+        seed + i, p, budget, (SingularPointError, UnluckySliceError))
+        for i, p in enumerate(primes)]
     _, spec, y = results[0]
-    return _stabilize(spec, y, seed, primes[0],
-                      [run for run, _, _ in results])
+    return _stabilize(spec, y, seed, prime, [run for run, _, _ in results])
 
 
 def _run_with_reseeds(draw, seed: int, prime: int, budget, retry):

@@ -61,6 +61,12 @@ basis, and anything else a block-order run started from the grevlex
 basis, smallest leading term first.  Saturation feeds a square system
 (at most as many generators as variables) in by increasing degree, and an
 overdetermined one in the caller's order with 1 - t*g last.
+
+Each operation labels its engines with its own name, and a budget error
+reports the label of the engine that ran out as its stage: ``groebner``,
+``interreduction``, ``elimination``, ``saturation`` or ``intersection``.
+So ``saturate`` by several generators reports ``intersection`` when the
+intersection of its parts runs out.
 """
 from __future__ import annotations
 
@@ -442,11 +448,11 @@ def _resolve_ring(gens: Sequence[Polynomial], ring: PolyRing | None) -> PolyRing
 
 
 def groebner_basis(gens: Iterable[Polynomial], ring: PolyRing | None = None, *,
-                   budget: int | None = None, stage: str = "groebner") -> GroebnerBasis:
+                   budget: int | None = None) -> GroebnerBasis:
     """Reduced Groebner basis for the ring's own monomial order."""
     gens = [g for g in gens]
     ring = _resolve_ring(gens, ring)
-    return _basis(_buchberger(_Engine(ring, budget, stage), gens))
+    return _basis(_buchberger(_Engine(ring, budget, "groebner"), gens))
 
 
 def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
@@ -643,14 +649,15 @@ def interreduce(polys: Iterable[Polynomial], ring: PolyRing | None = None, *,
 
 
 def eliminate(gens: Iterable[Polynomial], drop: Sequence[str], ring: PolyRing | None = None, *,
-              budget: int | None = None, stage: str = "elimination") -> GroebnerBasis:
+              budget: int | None = None) -> GroebnerBasis:
     """Eliminate the named variables; returns a basis in the smaller ring.
 
     The result ring keeps the remaining variables in their original order
     and uses graded reverse lexicographic comparison.
     """
     gens = list(gens)
-    return _eliminate(gens, _resolve_ring(gens, ring), drop, budget, stage)
+    return _eliminate(gens, _resolve_ring(gens, ring), drop, budget,
+                      "elimination")
 
 
 def _eliminate(gens: list[Polynomial], ring: PolyRing, drop: Sequence[str],
@@ -713,16 +720,21 @@ def _block_eliminate(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
     return GroebnerBasis(sub, tuple(out))
 
 
-def _fresh_var(ring: PolyRing, base: str = "_t") -> str:
-    name = base
-    while name in ring.variables:
-        name += "t"
-    return name
+def _adjoin_t(ring: PolyRing, polys: list[Polynomial]):
+    """A ring with a fresh first variable t, then the ring's variables; t
+    and the polynomials moved into it."""
+    tname = "_t"
+    while tname in ring.variables:
+        tname += "t"
+    work = PolyRing((tname,) + ring.variables, field=ring.field)
+    var_map = list(range(1, work.nvars))
+    return work, work.variable(tname), [f.map_ring(work, var_map)
+                                        for f in polys]
 
 
 def saturate(gens: Iterable[Polynomial], sat: Iterable[Polynomial],
-             ring: PolyRing | None = None, *, budget: int | None = None,
-             stage: str = "saturation") -> GroebnerBasis:
+             ring: PolyRing | None = None, *,
+             budget: int | None = None) -> GroebnerBasis:
     """Saturation (I : J^infinity), J given by generators.
 
     Computed per generator with saturate_eliminate and intersected across
@@ -732,23 +744,22 @@ def saturate(gens: Iterable[Polynomial], sat: Iterable[Polynomial],
     sat = [s for s in sat if not s.is_zero()]
     ring = _resolve_ring(gens + sat, ring)
     if not sat:
-        return groebner_basis(gens, ring, budget=budget, stage=stage)
+        return _basis(_buchberger(_Engine(ring, budget, "saturation"), gens))
     partial: GroebnerBasis | None = None
     for g in sat:
-        one = _realign(saturate_eliminate(gens, g, (), ring, budget=budget,
-                                          stage=stage), ring, budget, stage)
+        one = _realign(saturate_eliminate(gens, g, (), ring, budget=budget),
+                       ring, budget, "saturation")
         if partial is None:
             partial = one
         else:
             partial = intersect(partial.polys, one.polys, ring,
-                                budget=budget, stage=stage)
+                                budget=budget)
     return partial
 
 
 def saturate_eliminate(gens: Iterable[Polynomial], g: Polynomial,
                        drop: Sequence[str], ring: PolyRing | None = None, *,
-                       budget: int | None = None,
-                       stage: str = "saturation") -> GroebnerBasis:
+                       budget: int | None = None) -> GroebnerBasis:
     """Basis of (<gens> : g^infinity) intersected with the ring of the kept
     variables, in a grevlex ring on those variables.
 
@@ -765,14 +776,12 @@ def saturate_eliminate(gens: Iterable[Polynomial], g: Polynomial,
     """
     gens = list(gens)
     ring = _resolve_ring(gens + [g], ring)
-    tname = _fresh_var(ring)
-    work = PolyRing((tname,) + ring.variables, field=ring.field)
-    var_map = list(range(1, work.nvars))
-    moved = [f.map_ring(work, var_map) for f in gens]
-    moved.append(work.one() - work.variable(tname) * g.map_ring(work, var_map))
+    work, t, moved = _adjoin_t(ring, gens + [g])
+    moved.append(work.one() - t * moved.pop())
     if len(gens) <= ring.nvars:
         moved.sort(key=Polynomial.total_degree)
-    return _eliminate(moved, work, [tname, *drop], budget, stage)
+    return _eliminate(moved, work, [work.variables[0], *drop], budget,
+                      "saturation")
 
 
 def _minimal_polynomial(eng: _Engine, name: str) -> GroebnerBasis:
@@ -852,27 +861,25 @@ def _realign(gb: GroebnerBasis, ring: PolyRing, budget, stage) -> GroebnerBasis:
     if gb.ring == ring:
         return gb
     back = [ring.index_of(v) for v in gb.ring.variables]
-    polys = tuple(p.map_ring(ring, back) for p in gb.polys)
-    return GroebnerBasis(ring, polys) if ring.order == GREVLEX else groebner_basis(
-        polys, ring, budget=budget, stage=stage)
+    polys = [p.map_ring(ring, back) for p in gb.polys]
+    if ring.order == GREVLEX:
+        return GroebnerBasis(ring, tuple(polys))
+    return _basis(_buchberger(_Engine(ring, budget, stage), polys))
 
 
 def intersect(gens_a: Iterable[Polynomial], gens_b: Iterable[Polynomial],
-              ring: PolyRing | None = None, *, budget: int | None = None,
-              stage: str = "intersection") -> GroebnerBasis:
+              ring: PolyRing | None = None, *,
+              budget: int | None = None) -> GroebnerBasis:
     """Intersection of two ideals via the one-parameter trick."""
     gens_a = list(gens_a)
     gens_b = list(gens_b)
     ring = _resolve_ring(gens_a + gens_b, ring)
-    tname = _fresh_var(ring)
-    work = PolyRing((tname,) + ring.variables, field=ring.field)
-    var_map = list(range(1, work.nvars))
-    t = work.variable(tname)
+    work, t, moved = _adjoin_t(ring, gens_a + gens_b)
     one_minus_t = work.one() - t
-    moved = [t * f.map_ring(work, var_map) for f in gens_a]
-    moved += [one_minus_t * f.map_ring(work, var_map) for f in gens_b]
-    gb = eliminate(moved, [tname], work, budget=budget, stage=stage)
-    return _realign(gb, ring, budget, stage)
+    moved = ([t * f for f in moved[:len(gens_a)]]
+             + [one_minus_t * f for f in moved[len(gens_a):]])
+    gb = _eliminate(moved, work, [work.variables[0]], budget, "intersection")
+    return _realign(gb, ring, budget, "intersection")
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:

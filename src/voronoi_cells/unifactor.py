@@ -2,14 +2,13 @@
 
 Yun's algorithm splits the input into squarefree factors; its first step,
 f and f' over gcd(f, f'), is the head of the Sturm chain that
-``exactmath.sturm`` builds from the same Euclid run.  Rational roots of
-each factor are recovered by isolating each real root tightly enough that
-the interval can contain at most one fraction with denominator up to the
-leading coefficient of the primitive integer form, then proposing the
-simplest fraction in the interval (Stern-Brocot descent) and verifying it
-exactly.  What remains after deflation is certified irreducible either by
-degree arguments or by irreducibility modulo a prime; otherwise it is
-returned unsplit and unlabelled.
+``exactmath.sturm`` builds from the same Euclid run.  By the rational root
+theorem a rational root of a factor is k/a for an integer k, where a is
+the leading coefficient of its primitive integer form, so each real root
+is isolated in a bracket narrower than 1/a and the one such point in it
+is verified exactly.  What remains after deflation is certified
+irreducible either by degree arguments or by irreducibility modulo a
+prime; otherwise it is returned unsplit and unlabelled.
 """
 from __future__ import annotations
 
@@ -52,31 +51,6 @@ def primitive_integer_form(coeffs: Sequence[Fraction]) -> list[int]:
     """Integer coefficients with content 1 and positive leading coefficient."""
     ints = _integer_form(dense_trim(coeffs))
     return [-v for v in ints] if ints and ints[-1] < 0 else ints
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The fraction with smallest denominator in the closed interval.
-
-    Denominator ties resolve to the candidate closest to zero.
-    """
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo == hi:
-        return lo
-    if hi < 0:
-        return -_simplest_nonneg(-hi, -lo)
-    if lo <= 0:
-        return Fraction(0)
-    return _simplest_nonneg(lo, hi)
-
-
-def _simplest_nonneg(lo: Fraction, hi: Fraction) -> Fraction:
-    # Stern-Brocot descent; 0 < lo < hi
-    ceil_lo = -((-lo.numerator) // lo.denominator)
-    if ceil_lo <= hi:
-        return Fraction(ceil_lo)
-    k = lo.numerator // lo.denominator
-    return k + 1 / _simplest_nonneg(1 / (hi - k), 1 / (lo - k))
 
 
 def mod_p_irreducible(int_coeffs: Sequence[int], p: int) -> bool | None:
@@ -179,20 +153,19 @@ def exact_rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     if len(ints) <= 1:
         return []
     lead = ints[-1]
-    # a rational root in lowest terms has denominator dividing the leading
-    # coefficient; an interval shorter than 1/lead^2 holds at most one such
-    width = Fraction(1, 2 * lead * lead)
+    # a rational root in lowest terms has a denominator dividing the leading
+    # coefficient, so it is k/lead for an integer k; a bracket (lo, hi]
+    # narrower than 1/lead holds at most one such point, floor(hi*lead)/lead
     fracs = [Fraction(c) for c in ints]
     roots = []
-    for lo, hi in isolate_real_roots(fracs, width):
+    for lo, hi in isolate_real_roots(fracs, Fraction(1, 2 * lead)):
         if lo == hi:
             roots.append(lo)
             continue
         # the bracket's root lies in (lo, hi]; lo itself may be the root of
         # the bracket below
-        cand = simplest_between(lo, hi)
-        if (cand != lo and cand.denominator <= lead
-                and dense_eval(fracs, cand) == 0):
+        cand = Fraction(hi.numerator * lead // hi.denominator, lead)
+        if cand > lo and dense_eval(fracs, cand) == 0:
             roots.append(cand)
     return roots
 

@@ -379,8 +379,7 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
     # the x block in the same run
     t0 = time.perf_counter()
     parts = [saturate_eliminate(gens, xs[i] - sring.constant(y[i]),
-                                ring.variables, sring, budget=budget,
-                                stage="saturation")
+                                ring.variables, sring, budget=budget)
              for i in range(n)]
     timings["saturation"] = time.perf_counter() - t0
 
@@ -388,7 +387,7 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
     combined = parts[0]
     for nxt in parts[1:]:
         combined = intersect(combined.polys, nxt.polys, combined.ring,
-                             budget=budget, stage="intersection")
+                             budget=budget)
     parametric = combined
     timings["intersection"] = time.perf_counter() - t0
 

@@ -90,6 +90,12 @@ class TestVoronoiCommand:
         roots = [tuple(Fraction(b) for b in pair)
                  for pair in body["normal_line"]["roots"]]
         assert len(roots) == 3
+        # the only nonlinear generator is a univariate cubic, which has a
+        # real root, and the linear ones leave its variable free
+        [comp] = body["components"]
+        assert comp["generators"][1:] == ["u1 - u3", "u2 - u3"]
+        assert comp["generators"][0].startswith("u3^3 ")
+        assert comp["real"] is True
 
     def test_parse_error_has_position(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -219,6 +225,19 @@ class TestDegreeCommand:
         _, first, _ = run(capsys, "degree", "--n", "1", "--d", "3")
         _, second, _ = run(capsys, "degree", "--n", "1", "--d", "3")
         assert first == second
+
+    def test_partner_prime_report(self, capsys):
+        # --prime 65537 alternates with 32003 across the three replicas
+        code, out, err = run(capsys, "degree", "--n", "2", "--d", "3",
+                             "--seed", "4", "--prime", "65537")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "command": "degree",\n  "d": 3,\n  "degree": 8,\n'
+            '  "homogeneous": false,\n  "n": 2,\n  "prime": 65537,\n'
+            '  "replicas": [\n    [\n      4,\n      65537,\n      8\n'
+            '    ],\n    [\n      5,\n      32003,\n      8\n    ],\n'
+            '    [\n      6,\n      65537,\n      8\n    ]\n  ],\n'
+            '  "schema": 1,\n  "seed": 4,\n  "stable": true\n}\n')
 
     def test_whitelist_blocks_large_cells(self, capsys):
         code, out, err = run(capsys, "degree", "--n", "4", "--d", "4")

@@ -160,6 +160,10 @@ class TestExperiments:
     def test_replicas_span_two_primes(self):
         exp = hypersurface_degree_experiment(2, 2, seed=1)
         assert {p for _, p, _ in exp.replicas} == {32003, 65537}
+        # the partner of 65537 is 32003
+        exp = hypersurface_degree_experiment(2, 2, seed=1, prime=65537)
+        assert exp.prime == 65537
+        assert [p for _, p, _ in exp.replicas] == [65537, 32003, 65537]
 
     def test_experiment_determinism(self):
         spec, y = random_hypersurface(2, 3, 32003, 11)

@@ -242,6 +242,29 @@ class TestIdealOperations:
         sat = saturate(gens, [parse_polynomial("x", ring), parse_polynomial("y", ring)])
         assert [str(p) for p in sat.polys] == ["z"]
 
+    def test_each_operation_reports_its_own_stage(self):
+        # sphere and x*y*z = 1/5 saturated by x - y and z - 2x: each
+        # saturation takes at most 14 steps and the intersection of the two
+        # 17, so budgets 14 to 16 run out inside saturate's intersection
+        ring, gens = make(("x", "y", "z"),
+                          "x^2 + y^2 + z^2 - 1", "x*y*z - 1/5")
+        sat = [parse_polynomial(g, ring) for g in ("x - y", "z - 2*x")]
+        for budget, stage in ((13, "saturation"), (16, "intersection")):
+            with pytest.raises(BudgetExhaustedError) as err:
+                saturate(gens, sat, budget=budget)
+            assert err.value.stage == stage
+        saturate(gens, sat, budget=17)
+        _, pair = make(("t", "x", "y"), "t*x - 1", "t*y - 1")
+        with pytest.raises(BudgetExhaustedError) as err:
+            eliminate(pair, ["t"], budget=0)
+        assert err.value.stage == "elimination"
+        plane, a = make(("x", "y"), "x - 1", "y - 2")
+        b = [parse_polynomial(g, plane) for g in ("x - 3", "y + 1")]
+        with pytest.raises(BudgetExhaustedError) as err:
+            intersect(a, b, budget=15)
+        assert err.value.stage == "intersection"
+        intersect(a, b, budget=16)
+
     def test_intersection_adds_point_counts(self):
         ring, a = make(("x", "y"), "x - 1", "y - 2")
         b = [parse_polynomial("x - 3", ring), parse_polynomial("y + 1", ring)]

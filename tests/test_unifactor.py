@@ -1,16 +1,16 @@
 """Rational root extraction and irreducibility certificates."""
 import random
 from fractions import Fraction
+from math import isqrt
 
 from voronoi_cells.exactmath import PolyRing, parse_polynomial
-from voronoi_cells.exactmath.sturm import dense_from_poly
+from voronoi_cells.exactmath.sturm import dense_from_poly, isolate_real_roots
 from voronoi_cells.unifactor import (
     Factor,
     exact_rational_roots,
     factor_rational,
     mod_p_irreducible,
     primitive_integer_form,
-    simplest_between,
     squarefree_decomposition,
 )
 
@@ -20,29 +20,59 @@ def dense(text):
     return dense_from_poly(parse_polynomial(text, ring))
 
 
-class TestSimplestBetween:
-    def test_known_values(self):
-        assert simplest_between(Fraction(3, 10), Fraction(2, 5)) == Fraction(1, 3)
-        assert simplest_between(Fraction(-1, 3), Fraction(1, 7)) == 0
-        assert simplest_between(Fraction(5, 2), Fraction(11, 4)) == Fraction(5, 2)
-        assert simplest_between(Fraction(-7, 5), Fraction(-4, 3)) == Fraction(-4, 3)
-        assert simplest_between(Fraction(-10, 7), Fraction(-7, 5)) == Fraction(-7, 5)
+def _proper_divisors(n):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({d for s in small for d in (s, n // s)} - {n})
 
-    def test_randomized_minimality(self):
-        rng = random.Random(31)
-        for _ in range(200):
-            a = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
-            b = a + Fraction(1, rng.randint(1, 400))
-            best = simplest_between(a, b)
-            assert a <= best <= b
-            # nothing with a smaller denominator fits in the interval
-            for q in range(1, best.denominator):
-                lo_num = -((-a.numerator * q) // a.denominator)  # ceil(a*q)
-                assert Fraction(lo_num, q) > b
 
-    def test_degenerate_interval(self):
-        x = Fraction(22, 7)
-        assert simplest_between(x, x) == x
+class TestPlantedRationalRoots:
+    """A rational root in lowest terms is k/a for the leading coefficient a
+    of the primitive integer form, so each bracket narrower than 1/a is
+    checked at its one such point."""
+
+    def test_denominators_that_properly_divide_the_leading_coefficient(self):
+        rng = random.Random(20)
+        ring = PolyRing(("u",))
+        u = ring.variable("u")
+        for _ in range(60):
+            lead = rng.randint(2, 10**6)
+            rest, roots, f = lead, set(), ring.one()
+            for _ in range(rng.randint(1, 3)):
+                q = rng.choice(_proper_divisors(rest) or [1])
+                k = rng.randint(-3 * q, 3 * q)
+                root = Fraction(k, q)
+                if root.denominator != q or root in roots:
+                    continue
+                roots.add(root)
+                f = f * (q * u - k)
+                rest //= q
+            # an irreducible quadratic, content 1, carries the rest of lead
+            c = rng.choice((1, -1))
+            b = rng.randint(-50, 50)
+            while (disc := b * b - 4 * rest * c) >= 0 and isqrt(disc) ** 2 == disc:
+                b += 1
+            f = f * (rest * u**2 + b * u + c)
+            coeffs = dense_from_poly(f)
+            assert primitive_integer_form(coeffs)[-1] == lead
+            assert exact_rational_roots(coeffs) == sorted(roots)
+
+    def test_root_on_a_bisection_point_and_at_the_next_open_end(self):
+        # (3u - 2)(2u^2 - 1) has leading coefficient 6: the root 2/3, whose
+        # denominator properly divides 6, is hit exactly by a bisection
+        # point, and it is also the excluded lower end of the bracket of
+        # 1/sqrt(2), whose one candidate k/6 in (2/3, 3/4] does not exist
+        f = dense("(3*u - 2) * (2*u^2 - 1)")
+        brackets = isolate_real_roots(f, Fraction(1, 12))
+        assert (Fraction(2, 3), Fraction(2, 3)) in brackets
+        assert (Fraction(2, 3), Fraction(3, 4)) in brackets
+        assert exact_rational_roots(f) == [Fraction(2, 3)]
+        # u(u - 2)(u^2 + 1) has Cauchy bracket (-4, 4]: both roots are
+        # bisection points
+        f = dense("u * (u - 2) * (u^2 + 1)")
+        brackets = isolate_real_roots(f, Fraction(1, 2))
+        assert {(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))} <= \
+            set(brackets)
+        assert exact_rational_roots(f) == [0, 2]
 
 
 class TestRationalRoots:

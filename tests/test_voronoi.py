@@ -7,10 +7,12 @@ pipeline's normal-space parameters.  Every assertion is an exact symbolic
 comparison unless a float tolerance is stated.
 """
 from fractions import Fraction
+from itertools import groupby
 from math import prod
 
 import pytest
 
+from voronoi_cells import groebner
 from voronoi_cells.exactmath import (
     count_real_roots,
     dense_from_poly,
@@ -391,6 +393,24 @@ class TestBudget:
         with pytest.raises(BudgetExhaustedError) as err:
             voronoi_ideal(spec, (0, 0, 0), budget=25)
         assert err.value.stage in {"saturation", "intersection", "groebner"}
+
+    def test_engines_carry_the_label_of_their_step(self, monkeypatch):
+        # a voronoi report saturates, intersects and interreduces, in that
+        # order, and each Groebner engine it builds is labelled so
+        labels = []
+        engine_init = groebner._Engine.__init__
+
+        def record(self, ring, budget, stage, steps=0):
+            labels.append(stage)
+            engine_init(self, ring, budget, stage, steps)
+
+        monkeypatch.setattr(groebner._Engine, "__init__", record)
+        for gens, y in ((["x1^3 - x2^2"], (4, 8)), ([QUADRIC], (0, 0, 0))):
+            labels.clear()
+            names = tuple(f"x{i + 1}" for i in range(len(y)))
+            voronoi_ideal(IdealSpec.from_strings(names, gens), y)
+            assert [k for k, _ in groupby(labels)] == [
+                "saturation", "intersection", "interreduction"]
 
     def test_fractional_point_spends_the_rational_step_count(self):
         # the cuspidal cubic at t = 2/5: 167 steps run out in the
