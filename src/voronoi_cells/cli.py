@@ -32,6 +32,8 @@ from .degrees import (
     lowrank_voronoi_degree,
     plane_curve_genus,
 )
+# count_real_roots goes unused here, but stays importable from this module:
+# perfbench/tracing.py wraps it by this name
 from .exactmath import (
     GREVLEX,
     QQ,
@@ -39,7 +41,6 @@ from .exactmath import (
     PolyRing,
     RationalField,
     count_real_roots,
-    dense_from_poly,
     parse_polynomial,
 )
 from .exactmath.sturm import dense_eval
@@ -210,29 +211,6 @@ def emit(report: dict | str, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 # voronoi
 
-def _component_is_real(component) -> bool | None:
-    """Sturm certificate where one is cheap, None where it is not.
-
-    Components come only from line reports over Q, as reduced bases.  A
-    single-variable generator with no real roots kills the whole component.
-    An all-linear component is a nonempty rational subspace, and so is one
-    whose only nonlinear generator is univariate with a real root: no
-    linear generator of a reduced basis leads with that variable, so each
-    real root extends to a real point.
-    """
-    gens = component.generators
-    for g in gens:
-        if len(g.variables_used()) == 1 and g.total_degree() >= 1:
-            var = g.variables_used()[0]
-            if count_real_roots(dense_from_poly(g, var=var)) == 0:
-                return False
-    nonlinear = [g for g in gens if g.total_degree() > 1]
-    if len(nonlinear) <= 1 and all(len(g.variables_used()) == 1
-                                   for g in nonlinear):
-        return True
-    return None
-
-
 def cmd_voronoi(args) -> int:
     spec = load_ideal(args.ideal)
     point = parse_point(args.point)
@@ -267,24 +245,21 @@ def cmd_voronoi(args) -> int:
                 "generators": [str(p) for p in comp.generators],
                 "multiplicity": comp.multiplicity,
                 "irreducible": comp.certified_irreducible,
-                "real": _component_is_real(comp),
+                "real": comp.real,
             }
             for comp in report.components
         ]
-    if (len(spec.generators) == 1
-            and isinstance(spec.ring.field, RationalField)):
-        try:
-            section = boundary_on_normal_line(report)
-        except ValueError:
-            section = None
-        if section is not None:
-            body["normal_line"] = {
-                "gradient": [str(v) for v in section.gradient],
-                "coefficients": [str(c) for c in section.coefficients],
-                "roots": [[str(b.lower), str(b.upper)]
-                          for b in section.roots],
-                "reach": _json_float(section.reach),
-            }
+    try:
+        section = boundary_on_normal_line(report)
+    except ValueError:
+        section = None
+    if section is not None:
+        body["normal_line"] = {
+            "gradient": [str(v) for v in section.gradient],
+            "coefficients": [str(c) for c in section.coefficients],
+            "roots": [[str(b.lower), str(b.upper)] for b in section.roots],
+            "reach": _json_float(section.reach),
+        }
     if args.timings:
         body["timings"] = {k: round(v, 6)
                            for k, v in report.timings.items()}

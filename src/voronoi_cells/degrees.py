@@ -77,6 +77,9 @@ def formula_cone(d: int, g: int) -> int:
 
 
 def plane_curve_genus(d: int) -> int:
+    """Genus of a smooth plane curve of degree d: (d - 1)(d - 2)/2."""
+    if d < 1:
+        raise ValueError("degree must be at least 1")
     return (d - 1) * (d - 2) // 2
 
 

@@ -271,8 +271,11 @@ class _Engine:
     def add_basis_poly(self, d: dict):
         """Insert a polynomial given as an encoded term dict, largest term
         first: monic over F_p, with integer coefficients over Q."""
+        cache = self._keyd
         keyd = self.keyd
-        items = [(e, c, keyd(e)) for e, c in d.items()]
+        # nearly every key is cached already: keyd runs only on a miss
+        items = [(e, c, cache[e] if e in cache else keyd(e))
+                 for e, c in d.items()]
         lt, lc, lk = items[0]
         self.blt.append(lt)
         self.blk.append(lk)
@@ -341,8 +344,9 @@ class _Engine:
         the polynomial is redundant and the result is None."""
         p = self.p
         coeff = dict(fdict)
+        cache = self._keyd
         keyd = self.keyd
-        heap = [(keyd(e), e) for e in coeff]
+        heap = [(cache[e] if e in cache else keyd(e), e) for e in coeff]
         heapq.heapify(heap)
         out: dict = {}
         scale = 1  # product of the factors the working polynomial took

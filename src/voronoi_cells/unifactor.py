@@ -6,7 +6,8 @@ f and f' over gcd(f, f'), is the head of the Sturm chain that
 theorem a rational root of a factor is k/a for an integer k, where a is
 the leading coefficient of its primitive integer form, so each real root
 is isolated in a bracket narrower than 1/a and the one such point in it
-is verified exactly.  What remains after deflation is certified
+is verified exactly.  The same isolation counts the real roots that each
+factor keeps.  What remains after deflation is certified
 irreducible either by degree arguments or by irreducibility modulo a
 prime; otherwise it is returned unsplit and unlabelled.
 """
@@ -35,12 +36,14 @@ class Factor:
     """One factor of a squarefree polynomial, low-degree-first coefficients.
 
     ``certified_irreducible`` is True when irreducibility was proved, and
-    None when the cofactor was simply left unsplit.
+    None when the cofactor was simply left unsplit.  ``real_roots`` is its
+    number of distinct real roots.
     """
 
     coefficients: tuple[Fraction, ...]
     multiplicity: int
     certified_irreducible: bool | None
+    real_roots: int
 
     @property
     def degree(self) -> int:
@@ -147,18 +150,21 @@ def _prime_divisors(n: int):
     return out
 
 
-def exact_rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of a squarefree polynomial, ascending."""
+def exact_rational_roots(coeffs: Sequence[Fraction]
+                         ) -> tuple[list[Fraction], int]:
+    """All rational roots of a squarefree polynomial, ascending, and its
+    number of distinct real roots."""
     ints = primitive_integer_form(coeffs)
     if len(ints) <= 1:
-        return []
+        return [], 0
     lead = ints[-1]
     # a rational root in lowest terms has a denominator dividing the leading
     # coefficient, so it is k/lead for an integer k; a bracket (lo, hi]
     # narrower than 1/lead holds at most one such point, floor(hi*lead)/lead
     fracs = [Fraction(c) for c in ints]
     roots = []
-    for lo, hi in isolate_real_roots(fracs, Fraction(1, 2 * lead)):
+    brackets = isolate_real_roots(fracs, Fraction(1, 2 * lead))
+    for lo, hi in brackets:
         if lo == hi:
             roots.append(lo)
             continue
@@ -167,7 +173,7 @@ def exact_rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         cand = Fraction(hi.numerator * lead // hi.denominator, lead)
         if cand > lo and dense_eval(fracs, cand) == 0:
             roots.append(cand)
-    return roots
+    return roots, len(brackets)
 
 
 def squarefree_decomposition(coeffs: Sequence[Fraction]):
@@ -205,17 +211,19 @@ def factor_rational(coeffs: Sequence[Fraction]) -> list[Factor]:
 
     Returns monic-scaled integer-primitive factors with multiplicities.
     The product of factors^multiplicities equals the input up to a nonzero
-    rational scalar.
+    rational scalar.  Each rational root is one real root, and the cofactor
+    keeps the real roots left over.
     """
     out: list[Factor] = []
     for sqfree, mult in squarefree_decomposition(coeffs):
         remaining = list(sqfree)
-        for root in exact_rational_roots(sqfree):
+        roots, real_roots = exact_rational_roots(sqfree)
+        for root in roots:
             linear = [-root, Fraction(1)]
             remaining, rem = dense_divmod(remaining, linear)
             assert not rem
             num, den = root.numerator, root.denominator
-            out.append(Factor((Fraction(-num), Fraction(den)), mult, True))
+            out.append(Factor((Fraction(-num), Fraction(den)), mult, True, 1))
         remaining = dense_trim(remaining)
         if len(remaining) > 1:
             ints = primitive_integer_form(remaining)
@@ -230,5 +238,6 @@ def factor_rational(coeffs: Sequence[Fraction]) -> list[Factor]:
                     if res is True:
                         cert = True
                         break
-            out.append(Factor(tuple(Fraction(c) for c in ints), mult, cert))
+            out.append(Factor(tuple(Fraction(c) for c in ints), mult, cert,
+                              real_roots - len(roots)))
     return out

@@ -31,15 +31,14 @@ from typing import Sequence
 from .exactmath.fields import RationalField
 from .exactmath.orders import GREVLEX
 from .exactmath.poly import Polynomial, PolyRing
-# count_roots, sturm_chain, squarefree_part, eliminate and groebner_basis
-# go unused here, but stay importable from this module: perfbench/tracing.py
-# wraps them by these names
+# count_roots, dense_gcd, sturm_chain, squarefree_part, eliminate and
+# groebner_basis go unused here, but stay importable from this module:
+# perfbench/tracing.py wraps them by these names
 from .exactmath.sturm import (
     count_roots,
     dense_eval,
     dense_from_poly,
     dense_gcd,
-    dense_trim,
     isolate_real_roots,
     sturm_chain,
     squarefree_part,
@@ -325,11 +324,13 @@ def parametric_critical_system(spec: IdealSpec, ns: NormalSpace, *,
 
 @dataclass(frozen=True)
 class VoronoiComponent:
-    """One factor of the boundary, as a reduced basis in the u-ring."""
+    """One factor of the boundary, as a reduced basis in the u-ring;
+    ``real`` tells whether the factor has a real root on the normal line."""
 
     generators: tuple[Polynomial, ...]
     multiplicity: int
     certified_irreducible: bool | None
+    real: bool
 
 
 @dataclass
@@ -436,7 +437,8 @@ def _line_components(factors, polys: Sequence[Polynomial], ns: NormalSpace,
     return tuple(
         VoronoiComponent(interreduce(list(ns.forms) + [p.compose(ns.u_ring, s_to_u)],
                                      ns.u_ring, budget=budget),
-                         fac.multiplicity, fac.certified_irreducible)
+                         fac.multiplicity, fac.certified_irreducible,
+                         fac.real_roots > 0)
         for fac, p in zip(factors, polys))
 
 
@@ -473,9 +475,11 @@ class NormalLineSection:
 def boundary_on_normal_line(report: VoronoiReport) -> NormalLineSection:
     """Restrict the boundary to the line y + lambda * gradient (codim 1 only).
 
-    This re-substitutes into the ambient-coordinate basis, independently of
-    the parameterization the pipeline used, so it doubles as a consistency
-    check.  Roots of the restricted polynomial are isolated below
+    The line is the normal space, where the parameter s of the free
+    coordinate is grad[free] * lambda, so the restriction is the report's
+    parametric generator at that s, made monic.  Raises ValueError unless
+    the variety has one defining equation over Q and its normal space at y
+    is a line.  Roots of the restricted polynomial are isolated below
     NORMAL_LINE_PRECISION; no bracket has 0 strictly inside, so each lies
     on one side of lambda = 0, and the nearest roots on each side bound the
     cell.
@@ -483,29 +487,25 @@ def boundary_on_normal_line(report: VoronoiReport) -> NormalLineSection:
     spec = report.spec
     if len(spec.generators) != 1:
         raise ValueError("the normal line is defined for one defining equation")
-    f = spec.ring.field
-    if not isinstance(f, RationalField):
+    if not isinstance(spec.ring.field, RationalField):
         raise ValueError("normal-line sections need rational coefficients")
+    ns = report.normal_space
+    if ns.dimension != 1:
+        raise ValueError("the normal space is not a line")
     n = spec.ring.nvars
     g = spec.generators[0]
     grad = tuple(g.derivative(i).evaluate(report.point) for i in range(n))
     if all(v == 0 for v in grad):
         raise SingularPointError("gradient vanishes; no normal line")
 
-    lring = PolyRing(("lam",), field=f, order=GREVLEX)
-    lam = lring.variable(0)
-    images = [lring.constant(report.point[i]) + lring.constant(grad[i]) * lam
-              for i in range(n)]
-    restricted = None
-    for p in report.boundary.polys:
-        moved = p.compose(lring, images)
-        dense = dense_from_poly(moved, var=0) if not moved.is_zero() else []
-        if not dense:
-            continue
-        restricted = dense if restricted is None else dense_gcd(restricted, dense)
-    if restricted is None or len(dense_trim(restricted)) <= 1:
-        # boundary misses the line entirely
-        return NormalLineSection(grad, tuple(dense_trim(restricted or [])),
+    # a reduced basis in one parameter has at most one member
+    polys = report.parametric.polys
+    dense = dense_from_poly(polys[0]) if polys else []
+    scale = grad[ns.free_columns[0]]
+    restricted = [c * scale**i for i, c in enumerate(dense)]
+    if len(restricted) <= 1:
+        # the unit ideal misses the line, and the zero ideal holds all of it
+        return NormalLineSection(grad, tuple(restricted),
                                  (), None, None, float("inf"))
     lead = restricted[-1]
     restricted = [c / lead for c in restricted]

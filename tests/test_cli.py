@@ -178,7 +178,8 @@ class TestVoronoiCommand:
                                                monkeypatch):
         # one remainder sequence of f against f' serves the squarefree
         # part, Yun's first step and the Sturm chain; repeating those Euclid
-        # runs made 41 divisions here
+        # runs made 41 divisions here, and counting the real roots of the
+        # quadratic component a second time one more
         from voronoi_cells import unifactor
         from voronoi_cells.exactmath import sturm
 
@@ -191,7 +192,40 @@ class TestVoronoiCommand:
         code, _, _ = run(capsys, "voronoi", cusp_file,
                          "--point", '["4", "8"]')
         assert code == 0
-        assert len(calls) == 22
+        assert len(calls) == 21
+
+    def test_cusp_report_builds_four_sturm_chains(self, capsys, cusp_file,
+                                                  monkeypatch):
+        # Yun's first step, one isolation per squarefree factor (the
+        # boundary has two) and one on the normal line; a second count of
+        # each component's real roots and a second derivation of the
+        # normal line made 9
+        from voronoi_cells import unifactor
+        from voronoi_cells.exactmath import sturm
+
+        calls = []
+        for module in (sturm, unifactor):
+            def counted(*args, chain_=module.sturm_chain):
+                calls.append(1)
+                return chain_(*args)
+            monkeypatch.setattr(module, "sturm_chain", counted)
+        code, _, _ = run(capsys, "voronoi", cusp_file,
+                         "--point", '["4", "8"]')
+        assert code == 0
+        assert len(calls) == 4
+
+    def test_normal_line_only_when_the_normal_space_is_a_line(
+            self, capsys, tmp_path):
+        # declared codim 2, the cusp is singular at (4, 8): the normal
+        # space is the whole plane and the boundary the zero ideal
+        path = tmp_path / "cusp2.json"
+        path.write_text(json.dumps(dict(CUSP_IDEAL, codim=2)))
+        code, body, _ = run_json(capsys, "voronoi", str(path),
+                                 "--point", '["4", "8"]', "--allow-singular")
+        assert code == 0
+        assert body["generators"] == [] and body["normal_space"] == []
+        assert body["components"] is None
+        assert "normal_line" not in body
 
     def test_timings_only_on_request(self, capsys, cusp_file):
         _, body, _ = run_json(capsys, "voronoi", cusp_file,
@@ -294,6 +328,13 @@ class TestFormulaCommand:
         code, _, err = run(capsys, "formula", "curve", "--d", "3",
                            "--g", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_plane_genus_needs_a_curve(self, capsys, d):
+        code, out, err = run(capsys, "formula", "plane-genus", "--d", d)
+        assert code == 1
+        assert out == ""
+        assert err == "error: degree must be at least 1\n"
 
 
 class TestLowrankCommand:

@@ -4,7 +4,11 @@ from fractions import Fraction
 from math import isqrt
 
 from voronoi_cells.exactmath import PolyRing, parse_polynomial
-from voronoi_cells.exactmath.sturm import dense_from_poly, isolate_real_roots
+from voronoi_cells.exactmath.sturm import (
+    count_real_roots,
+    dense_from_poly,
+    isolate_real_roots,
+)
 from voronoi_cells.unifactor import (
     Factor,
     exact_rational_roots,
@@ -28,7 +32,7 @@ def _proper_divisors(n):
 class TestPlantedRationalRoots:
     """A rational root in lowest terms is k/a for the leading coefficient a
     of the primitive integer form, so each bracket narrower than 1/a is
-    checked at its one such point."""
+    checked at its one such point; the brackets also count the real roots."""
 
     def test_denominators_that_properly_divide_the_leading_coefficient(self):
         rng = random.Random(20)
@@ -54,7 +58,8 @@ class TestPlantedRationalRoots:
             f = f * (rest * u**2 + b * u + c)
             coeffs = dense_from_poly(f)
             assert primitive_integer_form(coeffs)[-1] == lead
-            assert exact_rational_roots(coeffs) == sorted(roots)
+            real = len(roots) + (2 if disc > 0 else 0)
+            assert exact_rational_roots(coeffs) == (sorted(roots), real)
 
     def test_root_on_a_bisection_point_and_at_the_next_open_end(self):
         # (3u - 2)(2u^2 - 1) has leading coefficient 6: the root 2/3, whose
@@ -65,35 +70,38 @@ class TestPlantedRationalRoots:
         brackets = isolate_real_roots(f, Fraction(1, 12))
         assert (Fraction(2, 3), Fraction(2, 3)) in brackets
         assert (Fraction(2, 3), Fraction(3, 4)) in brackets
-        assert exact_rational_roots(f) == [Fraction(2, 3)]
+        assert exact_rational_roots(f) == ([Fraction(2, 3)], 3)
         # u(u - 2)(u^2 + 1) has Cauchy bracket (-4, 4]: both roots are
         # bisection points
         f = dense("u * (u - 2) * (u^2 + 1)")
         brackets = isolate_real_roots(f, Fraction(1, 2))
         assert {(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))} <= \
             set(brackets)
-        assert exact_rational_roots(f) == [0, 2]
+        assert exact_rational_roots(f) == ([0, 2], 2)
 
 
 class TestRationalRoots:
     def test_integer_and_fractional_roots(self):
         # roots 1/2, -3, 0 with leading coefficient 2
         f = dense("2*u^3 + 5*u^2 - 3*u")
-        assert exact_rational_roots(f) == [Fraction(-3), Fraction(0), Fraction(1, 2)]
+        assert exact_rational_roots(f) == (
+            [Fraction(-3), Fraction(0), Fraction(1, 2)], 3)
 
     def test_no_rational_roots(self):
-        assert exact_rational_roots(dense("u^2 - 2")) == []
-        assert exact_rational_roots(dense("u^2 + 1")) == []
+        assert exact_rational_roots(dense("u^2 - 2")) == ([], 2)
+        assert exact_rational_roots(dense("u^2 + 1")) == ([], 0)
 
     def test_close_rational_roots_are_separated(self):
         # roots at 100/101 and 101/102 differ by about 1e-4
         f = dense("(101*u - 100) * (102*u - 101)")
-        assert exact_rational_roots(f) == [Fraction(100, 101), Fraction(101, 102)]
+        assert exact_rational_roots(f) == (
+            [Fraction(100, 101), Fraction(101, 102)], 2)
 
     def test_root_at_the_open_end_of_the_next_bracket(self):
         # (u + 1)(u^2 - 3u - 3): the bracket (-1, -1/2] of the root near
         # -0.79 has the rational root -1 at its excluded lower end
-        assert exact_rational_roots(dense("u^3 - 2*u^2 - 6*u - 3")) == [-1]
+        f = dense("u^3 - 2*u^2 - 6*u - 3")
+        assert exact_rational_roots(f) == ([-1], 3)
         factors = factor_rational(dense("(u + 1)^2 * (u^2 - 3*u - 3)^2"))
         assert sorted((f.degree, f.multiplicity) for f in factors) == [
             (1, 2), (2, 2)]
@@ -111,8 +119,10 @@ class TestRationalRoots:
                 f = f * (r.denominator * u - r.numerator)
             if rng.random() < 0.5:
                 f = f * parse_polynomial("u^2 + u + 1", ring)  # no real roots
-            found = exact_rational_roots(dense_from_poly(f))
-            assert found == sorted(roots)
+            coeffs = dense_from_poly(f)
+            assert exact_rational_roots(coeffs) == (sorted(roots), len(roots))
+            factors = factor_rational(coeffs)
+            assert sum(fac.real_roots for fac in factors) == len(roots)
 
 
 class TestPrimitiveForm:
@@ -165,6 +175,7 @@ class TestFactorRational:
         assert f.degree == 2 and f.multiplicity == 1
         assert f.certified_irreducible is True
         assert list(f.coefficients) == [2197, -486, 27]
+        assert f.real_roots == 0
 
     def test_splits_linear_times_quadratic(self):
         # (u + 8)(u - 10)(27u^2 - 54u + 37) after shifting the cusp example
@@ -173,6 +184,17 @@ class TestFactorRational:
         assert degs == [1, 1, 2]
         assert all(f.certified_irreducible for f in factors)
         assert self.reassemble(factors, 4)
+        assert sorted((f.degree, f.real_roots) for f in factors) == [
+            (1, 1), (1, 1), (2, 0)]
+
+    def test_cofactor_keeps_the_real_roots_left_over(self):
+        # one squarefree factor, three real roots: the rational root takes
+        # one, and the unsplit quartic (u^2 - 2)(u^2 + 1) keeps the other two
+        f = dense("(u - 1) * (u^2 - 2) * (u^2 + 1)")
+        factors = factor_rational(f)
+        assert [(fac.degree, fac.real_roots) for fac in factors] == [
+            (1, 1), (4, 2)]
+        assert sum(fac.real_roots for fac in factors) == count_real_roots(f)
 
     def test_multiplicities(self):
         factors = factor_rational(dense("(u - 1)^2 * (2*u + 3)"))
@@ -187,6 +209,7 @@ class TestFactorRational:
         assert len(factors) == 1
         assert factors[0].degree == 4
         assert factors[0].certified_irreducible is None
+        assert factors[0].real_roots == 4
 
     def test_high_degree_irreducible_certified(self):
         factors = factor_rational(dense("u^4 + u + 1"))

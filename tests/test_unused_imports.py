@@ -20,6 +20,8 @@ ALLOWED = {
     ("voronoi_cells/voronoi.py", "count_roots"),
     ("voronoi_cells/voronoi.py", "sturm_chain"),
     ("voronoi_cells/voronoi.py", "squarefree_part"),
+    ("voronoi_cells/voronoi.py", "dense_gcd"),
+    ("voronoi_cells/cli.py", "count_real_roots"),
     ("voronoi_cells/degrees.py", "eliminate"),
 }
 

@@ -6,18 +6,24 @@ the slow route: ``critical_ideal`` keeps u symbolic in the full 2n-variable
 pipeline's normal-space parameters.  Every assertion is an exact symbolic
 comparison unless a float tolerance is stated.
 """
+import functools
+import json
+import random
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from math import prod
+from pathlib import Path
 
 import pytest
 
 from voronoi_cells import groebner
 from voronoi_cells.exactmath import (
+    PolyRing,
     count_real_roots,
     dense_from_poly,
     parse_polynomial,
 )
+from voronoi_cells.exactmath.sturm import dense_gcd
 from voronoi_cells.groebner import (
     BudgetExhaustedError,
     GroebnerBasis,
@@ -422,6 +428,113 @@ class TestBudget:
         assert err.value.stage == "saturation"
         report = voronoi_ideal(spec, (t**2, t**3), budget=168)
         assert report.degree == 4
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "voronoi_golden.json").read_text())
+
+
+def _golden_hypersurfaces():
+    """(name, spec, point, allow_singular) of every golden call on a
+    variety with one defining equation that runs to completion."""
+    for case in GOLDEN:
+        argv = case["argv"]
+        spec = IdealSpec.from_json(argv[1])
+        if len(spec.generators) != 1 or "--budget" in argv:
+            continue
+        point = tuple(Fraction(v)
+                      for v in json.loads(argv[argv.index("--point") + 1]))
+        yield case["name"], spec, point, "--allow-singular" in argv
+
+
+def _random_hypersurfaces(count=24, seed=21):
+    """Plane curves of degree 2 or 3 and quadric surfaces, alternately,
+    with coefficients in -3..3, through an integer point where their
+    gradient does not vanish."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, d = (2, rng.choice((2, 3))) if i % 2 == 0 else (3, 2)
+        ring = PolyRing(tuple(f"x{j + 1}" for j in range(n)))
+        xs = ring.gens()
+        while True:
+            y = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+            f = ring.zero()
+            for exps in product(range(d + 1), repeat=n):
+                if 0 < sum(exps) <= d:
+                    mono = prod((x ** e for x, e in zip(xs, exps)),
+                                start=ring.one())
+                    f = f + rng.randint(-3, 3) * mono
+            f = f - ring.constant(f.evaluate(y))
+            grad = [f.derivative(j).evaluate(y) for j in range(n)]
+            if f.total_degree() == d and any(grad):
+                break
+        yield f"random-{i}", IdealSpec(ring, (f,)), y, False
+
+
+HYPERSURFACES = list(_golden_hypersurfaces()) + list(_random_hypersurfaces())
+
+
+@functools.cache
+def _hypersurface_report(name):
+    _, spec, point, allow_singular = next(
+        case for case in HYPERSURFACES if case[0] == name)
+    return voronoi_ideal(spec, point, allow_singular=allow_singular)
+
+
+def _restricted_by_gcd(report):
+    """The boundary on y + lambda * grad by a route of its own: restrict
+    every ambient boundary member to the line and take their monic gcd."""
+    n = report.spec.ring.nvars
+    g = report.spec.generators[0]
+    grad = [g.derivative(i).evaluate(report.point) for i in range(n)]
+    lring = PolyRing(("lam",))
+    lam = lring.variable(0)
+    images = [lring.constant(report.point[i]) + lring.constant(grad[i]) * lam
+              for i in range(n)]
+    out = []
+    for p in report.boundary.polys:
+        moved = p.compose(lring, images)
+        if not moved.is_zero():
+            dense = dense_from_poly(moved, var=0)
+            out = dense_gcd(out, dense) if out else dense
+    return tuple(c / out[-1] for c in out)
+
+
+class TestLineReportOracles:
+    """A line report reads its normal line and the reality of each
+    component off its own factorization; both are checked here against
+    the routes that derive them again from the ambient basis."""
+
+    IDS = [case[0] for case in HYPERSURFACES]
+
+    def test_enough_cases(self):
+        assert len(self.IDS) >= 26
+        lines = [name for name in self.IDS
+                 if _hypersurface_report(name).normal_space.dimension == 1]
+        assert len(lines) >= len(self.IDS) - 1
+
+    @pytest.mark.parametrize("name", IDS)
+    def test_normal_line_is_the_restricted_boundary(self, name):
+        report = _hypersurface_report(name)
+        if report.normal_space.dimension != 1:
+            with pytest.raises(ValueError):
+                boundary_on_normal_line(report)
+            return
+        section = boundary_on_normal_line(report)
+        assert section.coefficients == _restricted_by_gcd(report)
+
+    @pytest.mark.parametrize("name", IDS)
+    def test_component_reality_is_a_sturm_count(self, name):
+        report = _hypersurface_report(name)
+        if report.components is None:
+            assert report.normal_space.dimension != 1
+            return
+        for comp in report.components:
+            univariate = [g for g in comp.generators
+                          if len(g.variables_used()) == 1]
+            assert univariate
+            counts = [count_real_roots(dense_from_poly(g)) for g in univariate]
+            assert comp.real is all(c > 0 for c in counts)
 
 
 def _solve_two_linear(ring, gens):
