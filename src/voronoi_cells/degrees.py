@@ -64,8 +64,7 @@ def formula_surface(d: int, chi: int, g2: int) -> int:
     by adjunction g2 = d + 2g - 1.  It is (d-1)^2 for a degree-d surface
     in P^3 and C(2e-1, 2) for the Veronese surface v_e(P^2) of degree e^2.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
+    _check_degree(d)
     return 3 * d + chi + 4 * g2 - 11
 
 
@@ -112,9 +111,15 @@ def lowrank_voronoi_degree(m: int, n: int, r: int) -> int:
     return 2 * (m - r)
 
 
+def _check_degree(d: int) -> None:
+    # a line or a plane has no Voronoi boundary; the closed forms hold from
+    # degree 2 on
+    if d < 2:
+        raise ValueError("degree must be at least 2")
+
+
 def _check_degree_genus(d: int, g: int) -> None:
-    if d < 1:
-        raise ValueError("degree must be at least 1")
+    _check_degree(d)
     if g < 0:
         raise ValueError("genus must be nonnegative")
 

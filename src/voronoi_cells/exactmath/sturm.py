@@ -1,18 +1,25 @@
-"""Real-root counting and isolation for univariate rational polynomials.
+"""Dense univariate arithmetic over Z and F_p, and real roots over Q.
 
-Polynomials here are dense coefficient lists ``[c0, c1, ..., cd]`` over
-``Fraction`` (low degree first).  One Euclid run of f against f' is the
-single source of the squarefree work: divided by the monic gcd(f, f'), its
-members are a Sturm sequence of the squarefree part, the first member is
-that squarefree part, and the first two start Yun's squarefree
-decomposition in ``unifactor``.  Counting uses the chain on half-open
-intervals ``(a, b]``; isolation bisects inside a Cauchy bound and refines
-each bracket below a requested width.  A root hit exactly by an endpoint is
-reported as a degenerate bracket ``(r, r)``.
+Polynomials here are dense coefficient lists ``[c0, c1, ..., cd]`` (low
+degree first).  A rational input is scaled once, by ``_integer_form``, to
+the positive multiple with integer coefficients and content 1; from there
+on every list holds integers.  ``dense_divmod`` and ``dense_gcd`` are the
+one division and the one gcd: over Z (``p = 0``) the division scales by the
+smallest positive pre-multiplier, so its remainder is a positive multiple
+of the rational one, and the gcd runs a primitive remainder sequence; over
+F_p (``p`` a prime) coefficients are reduced mod p and the gcd is monic.
 
-Signs come from integer evaluation: each chain member is scaled once to
-integer coefficients with content 1 (a positive multiple, so its signs are
-unchanged), and its sign at x = a/b is the sign of b^d * P(a/b), computed
+One Euclid run of f against f' is the single source of the squarefree
+work: divided by gcd(f, f') made primitive, its members are a Sturm
+sequence of the squarefree part, the first member is that squarefree part,
+and the first two start Yun's squarefree decomposition in ``unifactor``.
+Counting uses the chain on half-open intervals ``(a, b]``; isolation
+bisects inside a Cauchy bound and refines each bracket below a requested
+width.  A root hit exactly by an endpoint is reported as a degenerate
+bracket ``(r, r)``.
+
+Every member is a positive multiple of its counterpart over Q, so signs
+are unchanged; the sign at x = a/b is the sign of b^d * P(a/b), computed
 in integers.  Inside a single-root bracket refinement bisects on the sign
 of the squarefree polynomial alone, which changes sign at each of its
 simple roots; only a bracket whose lower end is itself a root falls back to
@@ -42,7 +49,7 @@ def dense_from_poly(f: Polynomial, var: int | None = None) -> list[Fraction]:
     return out
 
 
-def dense_trim(coeffs: Sequence[Fraction]) -> list[Fraction]:
+def dense_trim(coeffs: Sequence) -> list:
     out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
@@ -56,83 +63,117 @@ def dense_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return total
 
 
-def dense_derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
+def dense_derivative(coeffs: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(coeffs)][1:] or [0]
 
 
-def dense_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
+def _integer_form(coeffs: Sequence) -> list[int]:
+    """The positive multiple with integer coefficients and content 1."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    content = gcd(*ints)
+    return [v // content for v in ints] if content > 1 else ints
+
+
+def primitive_integer_form(coeffs: Sequence) -> list[int]:
+    """Integer coefficients with content 1 and positive leading coefficient."""
+    ints = _integer_form(dense_trim(coeffs))
+    return [-v for v in ints] if ints and ints[-1] < 0 else ints
+
+
+def dense_divmod(a: Sequence[int], b: Sequence[int], p: int = 0):
+    """Quotient and remainder of integer lists, over Z or, for p > 0, F_p.
+
+    Over Z each step first scales the running remainder by the smallest
+    m > 0 that makes its leading coefficient a multiple of b's, so the
+    result is M*a = q*b + r for one M > 0: r is a positive multiple of the
+    rational remainder, and M = 1 when b is primitive and divides a.  Over
+    F_p a step reduces only the leading coefficient it reads, and the
+    remainder is reduced once at the end.
+    """
+    if p:
+        a, b = [c % p for c in a], [c % p for c in b]
     b = dense_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = dense_trim(a)
     db = len(b) - 1
     lb = b[-1]
-    quot = [Fraction(0)] * max(len(rem) - db, 0)
-    while len(rem) - 1 >= db and rem:
-        shift = len(rem) - 1 - db
-        factor = rem[-1] / lb
+    inv = pow(lb, -1, p) if p else 0
+    quot = [0] * max(len(rem) - db, 0)
+    while len(rem) > db:
+        c = rem.pop() % p if p else rem.pop()
+        if not c:
+            continue
+        shift = len(rem) - db
+        if p:
+            factor = c * inv % p
+        else:
+            m = abs(lb) // gcd(c, lb)
+            if m > 1:
+                rem = [m * r for r in rem]
+                quot = [m * q for q in quot]
+            factor = c * m // lb
+        rem[shift:] = [r - factor * bi for r, bi in zip(rem[shift:], b)]
         quot[shift] = factor
-        for i in range(db + 1):
-            rem[shift + i] -= factor * b[i]
-        rem = dense_trim(rem)
-    return quot, rem
+    if p:
+        rem = [r % p for r in rem]
+    return quot, dense_trim(rem)
 
 
-def dense_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd via the Euclidean algorithm."""
+def dense_gcd(a: Sequence[int], b: Sequence[int], p: int = 0) -> list[int]:
+    """gcd of integer lists: primitive with a positive leading coefficient
+    over Z, from a primitive remainder sequence; monic over F_p."""
+    if p:
+        a, b = [c % p for c in a], [c % p for c in b]
     a, b = dense_trim(a), dense_trim(b)
     while b:
-        _, r = dense_divmod(a, b)
-        a, b = b, r
+        _, r = dense_divmod(a, b, p)
+        a, b = b, (r if p else _integer_form(r))
+    if not p:
+        return primitive_integer_form(a)
     if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
     return a
 
 
-def squarefree_part(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """f / gcd(f, f') with the gcd made monic; the head of the Sturm chain."""
-    f = dense_trim(coeffs)
-    return sturm_chain(f, 1)[0] if len(f) > 1 else f
+def squarefree_part(coeffs: Sequence) -> list[int]:
+    """f / gcd(f, f') in integer form; the head of the Sturm chain."""
+    chain = sturm_chain(coeffs, 1)
+    return chain[0] if chain else []
 
 
-def sturm_chain(coeffs: Sequence[Fraction],
-                members: int | None = None) -> list[list[Fraction]]:
+def sturm_chain(coeffs: Sequence, members: int | None = None) -> list[list[int]]:
     """Sturm sequence of the squarefree part; first entry has the original roots.
 
     One Euclid run of f against f' gives f, f' and the negated remainders,
-    the last of them gcd(f, f') up to a scalar.  When the gcd is constant
-    that is the chain.  Otherwise every member is divided by the monic gcd:
-    consecutive quotients are coprime and the last is constant, so they
-    form a Sturm sequence of the squarefree part f / gcd (Yun 1976) and
-    count its distinct roots on every half-open interval.  ``members``
-    keeps only the head of the chain: one member is the squarefree part,
-    two are the first step of Yun's squarefree decomposition.
+    each made primitive, the last of them gcd(f, f') up to a scalar.  When
+    the gcd is constant that is the chain.  Otherwise every member is
+    divided by the gcd made primitive: consecutive quotients are coprime and
+    the last is constant, so they form a Sturm sequence of the squarefree
+    part f / gcd (Yun 1976) and count its distinct roots on every half-open
+    interval.  ``members`` keeps only the head of the chain: one member is
+    the squarefree part, two are the first step of Yun's squarefree
+    decomposition.  Members are integer lists, each a positive multiple of
+    its counterpart over Q.
     """
-    f = dense_trim(coeffs)
+    f = _integer_form(dense_trim(coeffs))
     if len(f) <= 1:
         return [f] if f else []
-    chain = [f, dense_trim(dense_derivative(f))]
+    # f' stays the exact derivative of f: Yun's step needs the pair as is
+    chain = [f, dense_derivative(f)]
     while len(chain[-1]) > 1:
         _, r = dense_divmod(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in r])
+        chain.append(_integer_form([-c for c in r]))
     g = chain[-1]
     chain = chain[:members]
     if len(g) == 1:
         return chain
-    lead = g[-1]
-    g = [c / lead for c in g]
-    return [dense_trim(dense_divmod(p, g)[0]) for p in chain]
-
-
-def _integer_form(coeffs: Sequence[Fraction]) -> list[int]:
-    """The positive multiple with integer coefficients and content 1."""
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    content = gcd(*ints)
-    return [v // content for v in ints] if content > 1 else ints
+    g = primitive_integer_form(g)
+    return [dense_divmod(p, g)[0] for p in chain]
 
 
 def _sign_at(form: Sequence[int], x: Fraction) -> int:
@@ -158,42 +199,36 @@ def _variations(forms, x: Fraction) -> int:
     return count
 
 
-def _count(forms, a: Fraction, b: Fraction) -> int:
-    if a >= b:
-        return 0
-    return _variations(forms, a) - _variations(forms, b)
-
-
 def count_roots(chain, a: Fraction, b: Fraction) -> int:
     """Distinct real roots in the half-open interval (a, b]."""
-    return _count([_integer_form(p) for p in chain], a, b)
+    if a >= b:
+        return 0
+    return _variations(chain, a) - _variations(chain, b)
 
 
-def cauchy_bound(coeffs: Sequence[Fraction]) -> Fraction:
+def cauchy_bound(coeffs: Sequence) -> Fraction:
     coeffs = dense_trim(coeffs)
     if len(coeffs) <= 1:
         return Fraction(1)
-    lead = coeffs[-1]
-    biggest = max(abs(c / lead) for c in coeffs[:-1])
-    return 1 + biggest
+    return 1 + Fraction(max(abs(c) for c in coeffs[:-1]), abs(coeffs[-1]))
 
 
-def isolate_real_roots(coeffs: Sequence[Fraction], precision: Fraction = Fraction(1, 2**20)):
+def isolate_real_roots(coeffs: Sequence, precision: Fraction = Fraction(1, 2**20)):
     """Disjoint brackets for every distinct real root, ascending.
 
     Each bracket (lo, hi) satisfies lo <= root <= hi and hi - lo <= precision;
     a root known exactly is returned as (r, r).  Bisection starts from the
     symmetric bracket (-B, B] with B >= 2, so its first split is at 0: for
     a precision below 4 no bracket has 0 strictly inside (lo < 0 < hi never
-    holds).
+    holds).  A precision that is not positive raises ValueError.
     """
+    if precision <= 0:
+        raise ValueError("precision must be positive")
     chain = sturm_chain(coeffs)
     if len(chain) < 2:  # zero or a constant
         return []
-    f = chain[0]
-    chain = [_integer_form(p) for p in chain]
-    bound = cauchy_bound(f) + 1
-    total = _count(chain, -bound, bound)
+    bound = cauchy_bound(chain[0]) + 1
+    total = count_roots(chain, -bound, bound)
     if total == 0:
         return []
     found = []
@@ -205,7 +240,7 @@ def isolate_real_roots(coeffs: Sequence[Fraction], precision: Fraction = Fractio
             found.append(_refine(chain, lo, hi, precision))
             continue
         mid = (lo + hi) / 2
-        left = _count(chain, lo, mid)
+        left = count_roots(chain, lo, mid)
         right = k - left
         if left:
             stack.append((lo, mid, left))
@@ -231,7 +266,7 @@ def _refine(chain, lo: Fraction, hi: Fraction, precision: Fraction):
         if s_lo:
             in_left = s_mid != s_lo
         else:
-            in_left = _count(chain, lo, mid) == 1
+            in_left = count_roots(chain, lo, mid) == 1
         if in_left:
             hi = mid
         else:
@@ -241,7 +276,7 @@ def _refine(chain, lo: Fraction, hi: Fraction, precision: Fraction):
     return (lo, hi)
 
 
-def count_real_roots(coeffs: Sequence[Fraction]) -> int:
+def count_real_roots(coeffs: Sequence) -> int:
     """Number of distinct real roots."""
     chain = sturm_chain(coeffs)
     if len(chain) < 2:  # zero or a constant

@@ -8,23 +8,26 @@ the leading coefficient of its primitive integer form, so each real root
 is isolated in a bracket narrower than 1/a and the one such point in it
 is verified exactly.  The same isolation counts the real roots that each
 factor keeps.  What remains after deflation is certified
-irreducible either by degree arguments or by irreducibility modulo a
-prime; otherwise it is returned unsplit and unlabelled.
+irreducible either by degree arguments or by Rabin's irreducibility test
+modulo a prime, which runs on the same division and gcd as the rest, over
+F_p; otherwise it is returned unsplit and unlabelled.  Everything after
+the input's integer form works on primitive integer lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from .exactmath.sturm import (
-    _integer_form,
+    _sign_at,
     dense_derivative,
     dense_divmod,
-    dense_eval,
     dense_gcd,
     dense_trim,
     isolate_real_roots,
+    primitive_integer_form,
     sturm_chain,
 )
 
@@ -50,45 +53,34 @@ class Factor:
         return len(self.coefficients) - 1
 
 
-def primitive_integer_form(coeffs: Sequence[Fraction]) -> list[int]:
-    """Integer coefficients with content 1 and positive leading coefficient."""
-    ints = _integer_form(dense_trim(coeffs))
-    return [-v for v in ints] if ints and ints[-1] < 0 else ints
-
-
 def mod_p_irreducible(int_coeffs: Sequence[int], p: int) -> bool | None:
     """Rabin's test modulo p; None when p divides the leading coefficient."""
-    coeffs = [c % p for c in int_coeffs]
-    if coeffs[-1] == 0:
+    f = [c % p for c in int_coeffs]
+    n = len(f) - 1
+    if f[-1] == 0 or n <= 0:
         return None
-    n = len(coeffs) - 1
-    if n <= 0:
-        return None
-    inv_lead = pow(coeffs[-1], p - 2, p)
-    f = [c * inv_lead % p for c in coeffs]
+
+    # two reduced lists of length at most n have a product with
+    # coefficients below n * p^2, so it is one big-integer product with
+    # that many bits per coefficient (Kronecker substitution)
+    bits = (n * p * p).bit_length()
+    mask = (1 << bits) - 1
+
+    def pack(a):
+        return sum(c << (bits * i) for i, c in enumerate(a))
 
     def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % p
-        return _polymod(out)
+        prod = pack(a) * pack(b)
+        out = []
+        while prod:
+            out.append(prod & mask)
+            prod >>= bits
+        return dense_divmod(out, f, p)[1]
 
-    def _polymod(a):
-        a = list(a)
-        while len(a) > n:
-            c = a.pop()
-            if c:
-                shift = len(a) - n
-                for i in range(n):
-                    a[shift + i] = (a[shift + i] - c * f[i]) % p
-        return dense_trim(a) or [0]
-
-    def xpow_pk(k: int):
-        # x^(p^k) mod f by binary powering on the exponent
+    def x_pow_minus_x(k: int):
+        # x^(p^k) - x mod f, by binary powering on the exponent
         e = p**k
-        base = _polymod([0, 1])
+        base = dense_divmod([0, 1], f, p)[1]
         result = [1]
         while e:
             if e & 1:
@@ -96,44 +88,16 @@ def mod_p_irreducible(int_coeffs: Sequence[int], p: int) -> bool | None:
             e >>= 1
             if e:
                 base = mulmod(base, base)
-        return result
-
-    def gcd_p(a, b):
-        a = dense_trim([c % p for c in a])
-        b = dense_trim([c % p for c in b])
-        while b:
-            inv = pow(b[-1], p - 2, p)
-            r = a[:]
-            while len(r) >= len(b):
-                c = r[-1] * inv % p
-                if c:
-                    shift = len(r) - len(b)
-                    for i in range(len(b) - 1):
-                        r[shift + i] = (r[shift + i] - c * b[i]) % p
-                r.pop()
-            a, b = b, dense_trim(r)
-        return a
+        result = result + [0] * (2 - len(result))
+        result[1] -= 1
+        return dense_divmod(result, f, p)[1]
 
     # Rabin: f irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1
     # for every prime q dividing n
-    xres = _polymod([0, 1])
-
-    def sub_x(h):
-        size = max(len(h), len(xres))
-        out = [0] * size
-        for i, c in enumerate(h):
-            out[i] = c % p
-        for i, c in enumerate(xres):
-            out[i] = (out[i] - c) % p
-        return out
-
-    if any(sub_x(xpow_pk(n))):
+    if x_pow_minus_x(n):
         return False
-    for q in _prime_divisors(n):
-        g = gcd_p(sub_x(xpow_pk(n // q)), f)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    return all(len(dense_gcd(f, x_pow_minus_x(n // q), p)) == 1
+               for q in _prime_divisors(n))
 
 
 def _prime_divisors(n: int):
@@ -161,9 +125,8 @@ def exact_rational_roots(coeffs: Sequence[Fraction]
     # a rational root in lowest terms has a denominator dividing the leading
     # coefficient, so it is k/lead for an integer k; a bracket (lo, hi]
     # narrower than 1/lead holds at most one such point, floor(hi*lead)/lead
-    fracs = [Fraction(c) for c in ints]
     roots = []
-    brackets = isolate_real_roots(fracs, Fraction(1, 2 * lead))
+    brackets = isolate_real_roots(ints, Fraction(1, 2 * lead))
     for lo, hi in brackets:
         if lo == hi:
             roots.append(lo)
@@ -171,73 +134,61 @@ def exact_rational_roots(coeffs: Sequence[Fraction]
         # the bracket's root lies in (lo, hi]; lo itself may be the root of
         # the bracket below
         cand = Fraction(hi.numerator * lead // hi.denominator, lead)
-        if cand > lo and dense_eval(fracs, cand) == 0:
+        if cand > lo and _sign_at(ints, cand) == 0:
             roots.append(cand)
     return roots, len(brackets)
 
 
 def squarefree_decomposition(coeffs: Sequence[Fraction]):
-    """Yield (squarefree factor, multiplicity) with multiplicities ascending."""
+    """Yield (squarefree factor, multiplicity) with multiplicities ascending;
+    each factor is primitive with a positive leading coefficient."""
     f = dense_trim(coeffs)
     if len(f) <= 1:
         return []
     out = []
-    # Yun's algorithm; its first step, f and f' over gcd(f, f'), is the head
-    # of the Sturm chain
+    # Yun's algorithm on the integer form of f; its first step, f and f'
+    # over gcd(f, f'), is the head of the Sturm chain.  Dividing b and d by
+    # the same gcd keeps d = c - b' exact whatever the gcd's scale
     b, c = sturm_chain(f, 2)
-    d = [ci - cj for ci, cj in _pad(c, dense_derivative(b))]
     i = 1
     while len(b) > 1:
+        d = [ci - cj
+             for ci, cj in zip_longest(c, dense_derivative(b), fillvalue=0)]
         g = dense_gcd(b, d)
         if len(g) > 1:
             out.append((g, i))
         b, _ = dense_divmod(b, g)
         c, _ = dense_divmod(d, g)
-        d = [ci - cj for ci, cj in _pad(c, dense_derivative(b))]
         i += 1
     return out
-
-
-def _pad(a, b):
-    la, lb = list(a), list(b)
-    size = max(len(la), len(lb))
-    la += [Fraction(0)] * (size - len(la))
-    lb += [Fraction(0)] * (size - len(lb))
-    return zip(la, lb)
 
 
 def factor_rational(coeffs: Sequence[Fraction]) -> list[Factor]:
     """Split off every rational root; certify cofactors where feasible.
 
-    Returns monic-scaled integer-primitive factors with multiplicities.
-    The product of factors^multiplicities equals the input up to a nonzero
-    rational scalar.  Each rational root is one real root, and the cofactor
-    keeps the real roots left over.
+    Returns integer-primitive factors with positive leading coefficients
+    and their multiplicities.  The product of factors^multiplicities equals
+    the input up to a nonzero rational scalar.  Each rational root is one
+    real root, and the cofactor keeps the real roots left over.
     """
     out: list[Factor] = []
     for sqfree, mult in squarefree_decomposition(coeffs):
-        remaining = list(sqfree)
+        # a primitive factor over a primitive linear one stays primitive
+        # with a positive leading coefficient (Gauss's lemma)
+        remaining = sqfree
         roots, real_roots = exact_rational_roots(sqfree)
         for root in roots:
-            linear = [-root, Fraction(1)]
-            remaining, rem = dense_divmod(remaining, linear)
-            assert not rem
             num, den = root.numerator, root.denominator
+            remaining, rem = dense_divmod(remaining, [-num, den])
+            assert not rem
             out.append(Factor((Fraction(-num), Fraction(den)), mult, True, 1))
-        remaining = dense_trim(remaining)
         if len(remaining) > 1:
-            ints = primitive_integer_form(remaining)
             cert: bool | None = None
-            degree = len(ints) - 1
-            if degree <= 3:
+            if len(remaining) <= 4:
                 # no rational roots were left, so degree <= 3 is irreducible
                 cert = True
-            else:
-                for p in _WITNESS_PRIMES:
-                    res = mod_p_irreducible(ints, p)
-                    if res is True:
-                        cert = True
-                        break
-            out.append(Factor(tuple(Fraction(c) for c in ints), mult, cert,
-                              real_roots - len(roots)))
+            elif any(mod_p_irreducible(remaining, p) for p in _WITNESS_PRIMES):
+                cert = True
+            out.append(Factor(tuple(Fraction(c) for c in remaining), mult,
+                              cert, real_roots - len(roots)))
     return out

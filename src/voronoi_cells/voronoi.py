@@ -36,7 +36,6 @@ from .exactmath.poly import Polynomial, PolyRing
 # perfbench/tracing.py wraps them by these names
 from .exactmath.sturm import (
     count_roots,
-    dense_eval,
     dense_from_poly,
     dense_gcd,
     isolate_real_roots,
@@ -512,7 +511,7 @@ def boundary_on_normal_line(report: VoronoiReport) -> NormalLineSection:
 
     brackets = tuple(RootBracket(lo, hi) for lo, hi in
                      isolate_real_roots(restricted, NORMAL_LINE_PRECISION))
-    at_zero = dense_eval(restricted, Fraction(0)) == 0
+    at_zero = restricted[0] == 0
 
     lam_lo = None
     lam_hi = None

@@ -185,9 +185,9 @@ class TestVoronoiCommand:
 
         calls = []
         for module in (sturm, unifactor):
-            def counted(a, b, divmod_=module.dense_divmod):
+            def counted(a, b, p=0, divmod_=module.dense_divmod):
                 calls.append(1)
-                return divmod_(a, b)
+                return divmod_(a, b, p)
             monkeypatch.setattr(module, "dense_divmod", counted)
         code, _, _ = run(capsys, "voronoi", cusp_file,
                          "--point", '["4", "8"]')
@@ -328,6 +328,17 @@ class TestFormulaCommand:
         code, _, err = run(capsys, "formula", "curve", "--d", "3",
                            "--g", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--d", "1", "--g", "0"],
+        ["cone", "--d", "1", "--g", "0"],
+        ["surface", "--d", "1", "--chi", "3", "--g2", "0"],
+    ])
+    def test_degree_one_has_no_voronoi_degree(self, capsys, argv):
+        code, out, err = run(capsys, "formula", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: degree must be at least 2\n"
 
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_plane_genus_needs_a_curve(self, capsys, d):

@@ -80,6 +80,13 @@ class TestFormulas:
             formula_curve(0, 0)
         with pytest.raises(ValueError):
             formula_curve(3, -1)
+        # a line or a plane has no Voronoi boundary
+        with pytest.raises(ValueError, match="at least 2"):
+            formula_curve(1, 0)
+        with pytest.raises(ValueError, match="at least 2"):
+            formula_cone(1, 0)
+        with pytest.raises(ValueError, match="at least 2"):
+            formula_surface(1, 3, 0)
         with pytest.raises(ValueError):
             conjecture_hypersurface(2, 1)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 
 import pytest
 
@@ -363,6 +364,12 @@ class TestSturm:
         assert len(chain) == 4 and len(chain[-1]) == 1
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("precision", [Fraction(0), Fraction(-1, 2)])
+    def test_precision_must_be_positive(self, precision):
+        # bisection could never get a bracket below a width <= 0
+        with pytest.raises(ValueError, match="positive"):
+            isolate_real_roots(self.u_poly("u^2 - 2"), precision)
+
     def test_cauchy_bound_contains_roots(self):
         f = self.u_poly("u^2 - 100")
         assert cauchy_bound(f) >= 10
@@ -417,8 +424,8 @@ class TestSturm:
         ]
 
     def test_close_roots_with_fractional_coefficients(self):
-        # (u - 1/3)(u - 1/3 - 10^-9)(u + 5/2), brackets as isolated with
-        # Fraction evaluation throughout
+        # (u - 1/3)(u - 1/3 - 10^-9)(u + 5/2), brackets as isolated when
+        # Euclid ran over Fraction; the integer chain has the same signs
         r = Fraction(1, 3)
         f = [r * (r + Fraction(1, 10**9)) * Fraction(5, 2),
              Fraction(-28000000039, 18000000000),
@@ -440,17 +447,23 @@ class TestSturm:
              Fraction(43980465243026835151, 131941395333120000000)),
         ]
         chain = sturm_chain(f)
-        assert all(isinstance(c, Fraction) for p in chain for c in p)
+        assert all(type(c) is int for p in chain for c in p)
+        assert all(gcd(*p) == 1 for p in chain)
         assert count_roots(chain, Fraction(0), Fraction(1)) == 2
         assert count_roots(chain, Fraction(-3), Fraction(0)) == 1
         assert count_roots(chain, r, r + Fraction(1, 10**9)) == 1
         assert count_roots(chain, Fraction(-10), Fraction(10)) == 3
 
     def test_divmod_and_gcd(self):
-        a = self.u_poly("u^4 - 1")
-        b = self.u_poly("u^2 - 1")
-        q, r = dense_divmod(a, b)
-        assert not r
-        assert dense_eval(q, Fraction(3)) == 10
-        g = dense_gcd(a, self.u_poly("u^2 - 2*u + 1"))
-        assert g == [Fraction(-1), Fraction(1)]
+        a = [-1, 0, 0, 0, 1]                  # u^4 - 1
+        q, r = dense_divmod(a, [-1, 0, 1])    # u^2 - 1
+        assert (q, r) == ([1, 0, 1], [])
+        assert dense_gcd(a, [1, -2, 1]) == [-1, 1]
+        assert dense_gcd([2, 0, -2], [4, 4]) == [1, 1]
+        # over Z the remainder of 2u^2 + 1 by 3u + 1 is a positive multiple
+        # of the rational one, 11/9
+        q, r = dense_divmod([1, 0, 2], [1, 3])
+        assert (q, r) == ([-2, 6], [11])
+        # over F_7: u^2 + 1 = (u + 3)(u - 3) + 10, and the gcd is monic
+        assert dense_divmod([1, 0, 1], [3, 1], 7) == ([4, 1], [3])
+        assert dense_gcd([-9, 0, 1], [6, 2], 7) == [3, 1]

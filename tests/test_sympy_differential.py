@@ -16,10 +16,12 @@ coefficients, since only a non-constant gcd(f, f') changes the members of
 the Sturm chain: the squarefree part up to a scalar, the squarefree
 decomposition, the number of distinct real roots, one root in every
 isolating bracket, and root counts on half-open intervals whose endpoints
-are multiple roots.
+are multiple roots.  The integer division and gcd that serve them, and
+Rabin's irreducibility test modulo p that runs on the same division and
+gcd over F_p, are checked against sympy's over Z and GF(p).
 """
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -33,6 +35,8 @@ from voronoi_cells.exactmath import QQ, PolyRing, PrimeField  # noqa: E402
 from voronoi_cells.exactmath.sturm import (  # noqa: E402
     count_real_roots,
     count_roots,
+    dense_divmod,
+    dense_gcd,
     isolate_real_roots,
     squarefree_part,
     sturm_chain,
@@ -43,7 +47,10 @@ from voronoi_cells.groebner import (  # noqa: E402
     normal_form,
     saturate,
 )
-from voronoi_cells.unifactor import squarefree_decomposition  # noqa: E402
+from voronoi_cells.unifactor import (  # noqa: E402
+    mod_p_irreducible,
+    squarefree_decomposition,
+)
 
 P = 32003
 BUDGET = 20_000
@@ -223,7 +230,7 @@ RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 def _mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
@@ -256,7 +263,7 @@ def _sympy_poly(coeffs):
 
 
 def _monic(coeffs):
-    return tuple(c / coeffs[-1] for c in coeffs)
+    return tuple(Fraction(c) / coeffs[-1] for c in coeffs)
 
 
 def _sympy_monic(poly):
@@ -313,3 +320,85 @@ def test_count_roots_at_multiple_roots_matches_sympy(case, data):
     for _ in range(4):
         a, b = data.draw(ends), data.draw(ends)
         assert count_roots(chain, a, b) == _distinct_in(sqf, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the integer division and gcd, over Z and over F_p
+
+INTEGER_COEFFS = st.integers(-9, 9)
+
+
+def _int_poly(min_degree, max_degree):
+    """Integer coefficients, low degree first, with a nonzero leading one."""
+    return st.integers(min_degree, max_degree).flatmap(
+        lambda d: st.tuples(st.lists(INTEGER_COEFFS, min_size=d, max_size=d),
+                            INTEGER_COEFFS.filter(bool))
+    ).map(lambda parts: parts[0] + [parts[1]])
+
+
+def _zz_poly(coeffs, modulus=None):
+    options = {"modulus": modulus} if modulus else {"domain": "ZZ"}
+    return sympy.Poly(list(reversed(coeffs)), X, **options)
+
+
+def _zz_coeffs(poly, modulus=None):
+    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+    return [c % modulus for c in coeffs] if modulus else coeffs
+
+
+@pytest.mark.parametrize("p", [10007, 65537])
+@CHECKS
+@given(f=_int_poly(2, 12), scale_lead=st.booleans())
+def test_mod_p_irreducible_matches_sympy(p, f, scale_lead):
+    if scale_lead:
+        f = f[:-1] + [f[-1] * p]     # p divides the leading coefficient
+    ours = mod_p_irreducible(f, p)
+    if f[-1] % p == 0:
+        assert ours is None
+    else:
+        assert ours is _zz_poly(f, p).is_irreducible
+
+
+@pytest.mark.parametrize("p", [10007, 65537])
+@CHECKS
+@given(g=_int_poly(1, 4), u=_int_poly(1, 5), v=_int_poly(0, 5))
+def test_mod_p_irreducible_rejects_products(p, g, u, v):
+    f = _mul(_mul(g, u), v)
+    assert mod_p_irreducible(f, p) is False
+
+
+@CHECKS
+@given(a=_int_poly(0, 10), b=_int_poly(0, 6), c=_int_poly(0, 5),
+       exact=st.booleans())
+def test_dense_divmod_over_z_is_a_pseudo_division(a, b, c, exact):
+    if exact:
+        a = _mul(b, c)
+    q, r = dense_divmod(a, b)
+    assert len(r) < len(b)
+    # m*a = q*b + r for one integer m > 0
+    total = [x + y for x, y in zip_longest(_mul(q, b) if q else [], r,
+                                           fillvalue=0)]
+    m = Fraction(total[-1], a[-1])
+    assert m > 0 and m.denominator == 1
+    assert total == [m * x for x in a]
+    # so r is a positive multiple of the rational remainder
+    want = _zz_poly(a).to_field().rem(_zz_poly(b).to_field())
+    theirs = [] if want.is_zero else [
+        Fraction(int(x.p), int(x.q)) for x in reversed(want.all_coeffs())]
+    assert r == [m * x for x in theirs]
+    if exact and b == _zz_coeffs(_zz_poly(b).primitive()[1]):
+        assert (q, m) == (c, 1)
+
+
+@pytest.mark.parametrize("p", [0, 10007])
+@CHECKS
+@given(g=_int_poly(0, 4), u=_int_poly(0, 5), v=_int_poly(0, 5))
+def test_dense_gcd_matches_sympy(p, g, u, v):
+    a, b = _mul(g, u), _mul(g, v)
+    ours = dense_gcd(a, b, p)
+    if p:
+        theirs = _zz_coeffs(_zz_poly(a, p).gcd(_zz_poly(b, p)).monic(), p)
+    else:
+        primitive = _zz_poly(a).gcd(_zz_poly(b)).primitive()[1]
+        theirs = _zz_coeffs(primitive if primitive.LC() > 0 else -primitive)
+    assert ours == theirs

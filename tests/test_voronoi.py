@@ -23,7 +23,7 @@ from voronoi_cells.exactmath import (
     dense_from_poly,
     parse_polynomial,
 )
-from voronoi_cells.exactmath.sturm import dense_gcd
+from voronoi_cells.exactmath.sturm import dense_gcd, primitive_integer_form
 from voronoi_cells.groebner import (
     BudgetExhaustedError,
     GroebnerBasis,
@@ -495,9 +495,9 @@ def _restricted_by_gcd(report):
     for p in report.boundary.polys:
         moved = p.compose(lring, images)
         if not moved.is_zero():
-            dense = dense_from_poly(moved, var=0)
+            dense = primitive_integer_form(dense_from_poly(moved, var=0))
             out = dense_gcd(out, dense) if out else dense
-    return tuple(c / out[-1] for c in out)
+    return tuple(Fraction(c) / out[-1] for c in out)
 
 
 class TestLineReportOracles:
