@@ -18,10 +18,17 @@ choice of multipliers, so it is a proof.
 Values and gradients come from the lift's stacked ``constant`` (q,),
 ``linear`` (q, N) and ``hessians`` (q, N, N) arrays, and the LMI engine's
 facial reduction folds every vanishing diagonal of a scan at once, with
-one solve per scan.  The lift depends only on the polynomials and the
-level, so ``leveld_membership`` builds it once per (variety, level) and
-shares it, read-only, across queries; a bounded cache keeps the 4 most
-recently used lifts.
+one factorization per scan.  The lift depends only on the polynomials and
+the level, so ``leveld_membership`` builds it once per (variety, level);
+the on-variety check and the equality matrix E depend on the base point
+y too, and are made once per (variety, level, y).  Of an LMI only the
+equality right-hand side changes with the query point u, so
+``lmi_feasible`` factors the rest (checks, E's SVD and nullspace, the
+Newton frame) once per value of (B, C, E) and solves each right-hand side
+against it; facial-reduction folds look up their folded systems the same
+way.  The lift and base-point caches keep their 4 most recently used
+entries, the factorization cache its 16 (a query with its folds is one
+chain of factorizations), and every array they hold is read-only.
 """
 from __future__ import annotations
 
@@ -246,24 +253,144 @@ class LMIResult:
     reason: str = ""
 
 
-def _affine_solution(eq_matrix: np.ndarray, eq_rhs: np.ndarray, k: int):
-    """Particular solution and nullspace basis of E lam = e.
+@dataclass(frozen=True, eq=False)
+class _Factorization:
+    """Everything about sum lam_i B_i <= C, E lam = e that e does not change.
 
-    Returns None when the system is inconsistent.
+    ``stack``, ``c`` and ``eq_matrix`` are read-only views of the key the
+    factorization is cached under.  E's full SVD gives its rank and the
+    nullspace ``basis``; ``diag`` and ``c_diag`` hold the diagonals of the
+    B_i and of C, and ``flat_slope`` marks the diagonal entries that do not
+    move along the basis, the only ones facial reduction can fold.
     """
+
+    stack: np.ndarray
+    c: np.ndarray
+    eq_matrix: np.ndarray
+    svd: tuple
+    rank: int
+    basis: np.ndarray
+    diag: np.ndarray
+    c_diag: np.ndarray
+    flat_slope: np.ndarray
+
+    def particular(self, eq_rhs: np.ndarray):
+        """A solution lam0 of E lam = e, or None when there is none."""
+        k = self.stack.shape[0]
+        if self.eq_matrix.shape[0] == 0:
+            return np.zeros(k)
+        u_svd, s_svd, vt = self.svd
+        rank = self.rank
+        if rank:
+            lam0 = vt[:rank].T @ ((u_svd[:, :rank].T @ eq_rhs) / s_svd[:rank])
+        else:
+            lam0 = np.zeros(k)
+        residual = np.abs(self.eq_matrix @ lam0 - eq_rhs).max(initial=0.0)
+        if residual > 1e-8 * max(1.0, np.abs(eq_rhs).max(initial=0.0)):
+            return None
+        return lam0
+
+    def fold(self, flat: np.ndarray, eq_rhs: np.ndarray):
+        """The system with the rows of the flat diagonal entries pinned.
+
+        Feasibility forces the whole row of a flat entry to zero, so its
+        entries join the equalities, each symmetric pair once, and its
+        coordinate leaves the matrices.  Returns the folded system's
+        factorization and right-hand side.
+        """
+        active = np.arange(flat.size)
+        j, i = np.meshgrid(active[flat], active, indexing="ij")
+        pair = ~flat | (i > j)
+        rows = self.stack[:, i[pair], j[pair]].T
+        keep = active[~flat]
+        folded = _factor(self.stack[:, keep[:, None], keep],
+                         self.c[np.ix_(keep, keep)],
+                         np.vstack([self.eq_matrix, rows]))
+        return folded, np.concatenate([eq_rhs, self.c[i[pair], j[pair]]])
+
+    @functools.cached_property
+    def newton(self) -> tuple:
+        """The Newton frame, built on the first solve that takes steps.
+
+        Returns (ds, flat_d, gram_inv, a, identity_in_span, moves, norms,
+        c_norm): D_j = sum_i basis_ij B_i, their flattened rows and the
+        pseudo-inverse of its Gram matrix, the coefficients a of the
+        projection of I onto the span of the D_j and whether it is exact,
+        the derivatives A_0 = I, A_j = -D_j of the barrier's matrix, and
+        the norms of the B_i and of C.
+        """
+        size = self.c.shape[0]
+        ds = np.tensordot(self.basis.T, self.stack, axes=1)
+        flat_d = ds.reshape(len(ds), -1)
+        gram_inv = np.linalg.pinv(flat_d @ flat_d.T)
+        a = gram_inv @ np.trace(ds, axis1=1, axis2=2)
+        in_span = bool(np.abs(np.tensordot(a, ds, axes=1)
+                              - np.eye(size)).max() <= 1e-9)
+        moves = np.concatenate([np.eye(size)[None], -ds])
+        norms = np.linalg.norm(self.stack, axis=(1, 2))
+        for array in (ds, flat_d, gram_inv, a, moves, norms):
+            array.setflags(write=False)
+        return (ds, flat_d, gram_inv, a, in_span, moves, norms,
+                float(np.linalg.norm(self.c)))
+
+
+def _factor(lhs, rhs, eq_matrix) -> _Factorization:
+    """Check the shapes of (B, C, E) and look up their factorization."""
+    c = np.asarray(rhs, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError("right-hand side must be a square matrix")
+    size = c.shape[0]
+    k = len(lhs)
+    try:
+        stack = np.asarray(lhs, dtype=float)
+    except ValueError:  # the matrices differ in shape
+        stack = np.zeros(0)
+    if not k:
+        stack = np.zeros((0, size, size))
+    if stack.shape != (k, size, size):
+        raise ValueError("constraint matrices must match the rhs size")
+    eq_matrix = np.asarray(eq_matrix, dtype=float)
+    if eq_matrix.size == 0:
+        eq_matrix = eq_matrix.reshape(0, k)
+    if eq_matrix.ndim != 2 or eq_matrix.shape[1] != k:
+        raise ValueError("equality matrix needs one column per multiplier")
+    return _factored(*((a.shape, a.tobytes()) for a in (stack, c, eq_matrix)))
+
+
+@functools.lru_cache(maxsize=16)
+def _factored(stack_key, c_key, eq_key) -> _Factorization:
+    """The factorization of the system whose (shape, bytes) keys are given.
+
+    Keyed by value, so a caller that changes an array in place gets the
+    factorization of the new one; a failed check raises and caches nothing.
+    A query and its facial-reduction folds are one chain of entries, 8 of
+    them for the unit circle at level 6, so the cache keeps 16: two such
+    chains stay warm side by side.
+    """
+    stack, c, eq_matrix = (np.frombuffer(data).reshape(shape)
+                           for shape, data in (stack_key, c_key, eq_key))
+    if np.abs(stack - stack.transpose(0, 2, 1)).max(initial=0.0) > 1e-9:
+        raise ValueError("constraint matrices must be symmetric")
+    if np.abs(c - c.T).max(initial=0.0) > 1e-9:
+        raise ValueError("right-hand side must be symmetric")
+    k = stack.shape[0]
     if eq_matrix.shape[0] == 0:
-        return np.zeros(k), np.eye(k)
-    u_svd, s_svd, vt = np.linalg.svd(eq_matrix)
-    top = s_svd[0] if s_svd.size else 0.0
-    rank = int((s_svd > top * _RANK_EPS).sum()) if top > 0 else 0
-    if rank:
-        lam0 = vt[:rank].T @ ((u_svd[:, :rank].T @ eq_rhs) / s_svd[:rank])
+        svd, rank, basis = (), 0, np.eye(k)
     else:
-        lam0 = np.zeros(k)
-    residual = np.abs(eq_matrix @ lam0 - eq_rhs).max(initial=0.0)
-    if residual > 1e-8 * max(1.0, np.abs(eq_rhs).max(initial=0.0)):
-        return None
-    return lam0, vt[rank:].T
+        svd = np.linalg.svd(eq_matrix)
+        s_svd = svd[1]
+        top = s_svd[0] if s_svd.size else 0.0
+        rank = int((s_svd > top * _RANK_EPS).sum()) if top > 0 else 0
+        basis = svd[2][rank:].T
+    entries = np.arange(c.shape[0])
+    diag = stack[:, entries, entries]
+    slope = np.abs(basis.T @ diag).max(axis=0, initial=0.0)
+    c_diag = c[entries, entries]
+    flat_slope = slope <= 1e-12
+    for array in (*svd, basis, diag, c_diag, flat_slope):
+        array.setflags(write=False)
+    return _Factorization(stack, c, eq_matrix, svd, rank, basis, diag,
+                          c_diag, flat_slope)
 
 
 def _check_settings(tol: float, max_iterations: int):
@@ -295,102 +422,65 @@ def lmi_feasible(problem: LMIFeasibilityProblem) -> LMIResult:
     smallest top eigenvalue found and ``iterations`` counts Newton steps.
     A tol that is not finite and positive, or a max_iterations below 1,
     raises ValueError.
+
+    Only e depends on the query.  The rest, (B, C, E) with its checks,
+    E's SVD, the nullspace basis and the Newton frame, is factored once
+    and cached by value: the key is the shape and bytes of the three
+    arrays, so a changed array is a new system.  Each facial-reduction
+    fold looks up the factorization of its folded system the same way.
+    A bounded cache keeps the 16 most recently used factorizations.
     """
     _check_settings(problem.tol, problem.max_iterations)
-    c = np.asarray(problem.rhs, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("right-hand side must be a square matrix")
-    size = c.shape[0]
-    k = len(problem.lhs)
-    try:
-        stack = np.asarray(problem.lhs, dtype=float)
-    except ValueError:  # the matrices differ in shape
-        stack = np.zeros(0)
-    if not k:
-        stack = np.zeros((0, size, size))
-    if stack.shape != (k, size, size):
-        raise ValueError("constraint matrices must match the rhs size")
-    if np.abs(stack - stack.transpose(0, 2, 1)).max(initial=0.0) > 1e-9:
-        raise ValueError("constraint matrices must be symmetric")
-    if np.abs(c - c.T).max(initial=0.0) > 1e-9:
-        raise ValueError("right-hand side must be symmetric")
-    eq_matrix = np.asarray(problem.eq_matrix, dtype=float)
-    if eq_matrix.size == 0:
-        eq_matrix = eq_matrix.reshape(0, k)
-    if eq_matrix.ndim != 2 or eq_matrix.shape[1] != k:
-        raise ValueError("equality matrix needs one column per multiplier")
+    system = _factor(problem.lhs, problem.rhs, problem.eq_matrix)
     eq_rhs = np.asarray(problem.eq_rhs, dtype=float).reshape(-1)
-    if eq_rhs.shape[0] != eq_matrix.shape[0]:
+    if eq_rhs.shape[0] != system.eq_matrix.shape[0]:
         raise ValueError("equality sides disagree on the number of rows")
     tol = problem.tol
-
-    solved = _affine_solution(eq_matrix, eq_rhs, k)
-    if solved is None:
-        return LMIResult("infeasible", None, math.inf, 0,
-                         "inconsistent-equalities")
-    lam0, basis = solved
 
     # facial reduction: whenever a diagonal entry of sum lam_i B_i - C
     # vanishes identically on the constraint subspace, feasibility forces
     # that whole row to zero; each scan folds the rows of every such entry
-    # into the equalities, each symmetric pair once, and drops their
-    # coordinates so strict feasibility regains an interior
-    active = np.arange(size)
-    rows, rows_rhs = [eq_matrix], [eq_rhs]
-    while active.size:
-        diag = stack[:, active, active]
-        value = lam0 @ diag - c[active, active]
-        slope = np.abs(basis.T @ diag).max(axis=0, initial=0.0)
-        flat = (np.abs(value) <= 1e-12) & (slope <= 1e-12)
+    # into the equalities at once, so strict feasibility regains an interior
+    reason = "inconsistent-equalities"
+    while True:
+        lam0 = system.particular(eq_rhs)
+        if lam0 is None:
+            return LMIResult("infeasible", None, math.inf, 0, reason)
+        value = lam0 @ system.diag - system.c_diag
+        flat = (np.abs(value) <= 1e-12) & system.flat_slope
         if not flat.any():
             break
-        j, i = np.meshgrid(active[flat], active, indexing="ij")
-        pair = ~flat | (i > j)
-        rows.append(stack[:, i[pair], j[pair]].T)
-        rows_rhs.append(c[i[pair], j[pair]])
-        active = active[~flat]
-        solved = _affine_solution(np.vstack(rows), np.concatenate(rows_rhs),
-                                  k)
-        if solved is None:
-            return LMIResult("infeasible", None, math.inf, 0,
-                             "zero-diagonal-row")
-        lam0, basis = solved
-    if not active.size:
+        system, eq_rhs = system.fold(flat, eq_rhs)
+        reason = "zero-diagonal-row"
+    stack, c, basis = system.stack, system.c, system.basis
+    size = c.shape[0]
+    if not size:
         # the matrix inequality reduced away entirely
-        return LMIResult("feasible", lam0.copy(), 0.0, 0)
-    stack = stack[:, active[:, None], active]
-    c = c[np.ix_(active, active)]
-    size = active.size
+        return LMIResult("feasible", lam0, 0.0, 0)
 
     m0 = np.tensordot(lam0, stack, axes=1) - c
     w, vecs = np.linalg.eigh(m0)
     best = float(w[-1])
     if best <= tol:
-        return LMIResult("feasible", lam0.copy(), best, 0)
+        return LMIResult("feasible", lam0, best, 0)
     if basis.shape[1] == 0:
         # multipliers fully determined; the value is exact
         status = "infeasible" if best >= 10.0 * tol else "inconclusive"
         return LMIResult(status, None, best, 0)
 
     # min t subject to S = tI - M0 - sum mu_j D_j >= 0, by damped Newton
-    # steps on beta t - log det S with beta raised after each centring
-    ds = np.tensordot(basis.T, stack, axes=1)
-    flat_d = ds.reshape(len(ds), -1)
-    gram_inv = np.linalg.pinv(flat_d @ flat_d.T)
+    # steps on beta t - log det S with beta raised after each centring;
+    # A_0 = I and A_j = -D_j are the derivatives of S in (t, mu)
+    ds, flat_d, gram_inv, a, in_span, moves, norms, c_norm = system.newton
 
     # I in the span of the D_j makes the Newton system singular in t: the
     # barrier falls without bound along mu -> mu - s a, which lowers every
     # eigenvalue of M by s
-    a = gram_inv @ np.trace(ds, axis1=1, axis2=2)
-    if np.abs(np.tensordot(a, ds, axes=1) - np.eye(size)).max() <= 1e-9:
+    if in_span:
         lam = lam0 - (best + 1.0) * (basis @ a)
         top = np.linalg.eigvalsh(np.tensordot(lam, stack, axes=1) - c)[-1]
         return LMIResult("feasible", lam, float(top), 1)
 
-    # A_0 = I and A_j = -D_j are the derivatives of S in (t, mu)
-    moves = np.concatenate([np.eye(size)[None], -ds])
-    norms = np.linalg.norm(stack, axis=(1, 2))
-    c_norm = float(np.linalg.norm(c))
     mu = np.zeros(len(ds))
     t = best + 1.0
     beta = float((1.0 / (t - w)).sum())
@@ -475,7 +565,17 @@ def _shared_lift(polys: tuple, d: int) -> VeroneseLift:
     return lift
 
 
-def _check_on_variety(lift: VeroneseLift, z: np.ndarray, tol: float):
+@functools.lru_cache(maxsize=4)
+def _base_point(polys: tuple, d: int, y: bytes, tol: float) -> tuple:
+    """The shared lift and the read-only equality matrix E at y.
+
+    E = [(1/2) Jac(y) rows of the linear coordinates; Jac rows of the
+    others] depends on the variety, the level and y, never on u.  A base
+    point off the variety raises and leaves nothing cached.
+    """
+    lift = _shared_lift(polys, d)
+    n = lift.nvars
+    z = lift.point(np.frombuffer(y))
     # the lifted equations reproduce the defining ones at z, the lift of y
     q = lift.lifted_count
     values = (lift.constant[:q] + lift.linear[:q] @ z
@@ -484,6 +584,10 @@ def _check_on_variety(lift: VeroneseLift, z: np.ndarray, tol: float):
     if worst > max(tol, 1e-9):
         raise PointNotOnVarietyError(
             f"base point misses the variety by {worst:.3g}")
+    jac = (lift.hessians @ z + lift.linear).T
+    eq_matrix = np.vstack([0.5 * jac[:n, :], jac[n:, :]])
+    eq_matrix.setflags(write=False)
+    return lift, eq_matrix
 
 
 def leveld_membership(polys, y, u, d: int, tol: float = DEFAULT_SDP_TOL,
@@ -502,7 +606,10 @@ def leveld_membership(polys, y, u, d: int, tol: float = DEFAULT_SDP_TOL,
     no lam works, or None when the stationarity equations settle the
     answer alone; it only says this level's certificate does not exist.
     ``iterations`` counts Newton steps of the LMI solve.  The lift is
-    shared by every query on the same polynomials and level.
+    shared by every query on the same polynomials and level, and the
+    on-variety check and the equality matrix by every query on the same
+    (polynomials, level, y, tol); only the right-hand side y - u is built
+    per query, and ``lmi_feasible`` reuses the factorization of the rest.
     """
     _check_settings(tol, max_iterations)
     polys = tuple(polys)
@@ -513,11 +620,7 @@ def leveld_membership(polys, y, u, d: int, tol: float = DEFAULT_SDP_TOL,
     u = np.asarray(u, dtype=float)
     if y.shape != (n,) or u.shape != (n,):
         raise ValueError("points must match the ring's variable count")
-    lift = _shared_lift(polys, d)
-    z = lift.point(y)
-    _check_on_variety(lift, z, tol)
-    jac = (lift.hessians @ z + lift.linear).T
-    eq_matrix = np.vstack([0.5 * jac[:n, :], jac[n:, :]])
+    lift, eq_matrix = _base_point(polys, d, y.tobytes(), tol)
     eq_rhs = np.concatenate([y - u, np.zeros(lift.dimension - n)])
     problem = LMIFeasibilityProblem(
         lhs=lift.hessians,

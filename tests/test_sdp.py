@@ -54,6 +54,32 @@ def min_distance_to_curve(point_fn, u, lo, hi, samples=4001):
     return dist((a + b) / 2.0)
 
 
+# every cache in sdp: the lift, base-point and factorization caches
+SDP_CACHES = tuple(f for f in vars(sdp).values() if hasattr(f, "cache_info"))
+
+
+def clear_sdp_caches():
+    for cache in SDP_CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    clear_sdp_caches()
+    yield
+    clear_sdp_caches()
+
+
+def same_answer(a, b) -> bool:
+    """Bit-identical LMIResults or MembershipResults."""
+    if (a.status, a.margin, a.iterations) != (b.status, b.margin,
+                                               b.iterations):
+        return False
+    if a.witness is None or b.witness is None:
+        return a.witness is b.witness
+    return np.array_equal(a.witness, b.witness)
+
+
 def hessian(f):
     """Hessian of f as the level-1 lift builds it."""
     return veronese_lift([f], f.ring.nvars, 1).hessians[0]
@@ -534,7 +560,7 @@ class TestLevelD:
         res = leveld_membership([CARDIOID], CARDIOID_POINT, CARDIOID_POINT, 2)
         assert res.status == "member"
 
-    def test_deep_facial_reduction_on_the_circle(self, monkeypatch):
+    def test_deep_facial_reduction_on_the_circle(self, cold_caches):
         # the unit circle's cell at (1, 0) is the open ray x1 > 0 on the
         # x1-axis; lifts of degree > 1 add coordinates that every
         # certificate must pin to zero by facial reduction
@@ -546,18 +572,34 @@ class TestLevelD:
                 res = leveld_membership([circle], (1.0, 0.0), (u1, 0.0),
                                         level)
                 assert res.status == want, (level, u1, res)
-        solves = []
-
-        def counted(*args):
-            solves.append(args)
-            return affine(*args)
-
-        affine = sdp._affine_solution
-        monkeypatch.setattr(sdp, "_affine_solution", counted)
+        clear_sdp_caches()
         res = leveld_membership([circle], (1.0, 0.0), (2.0, 0.0), 6)
         assert res.status == "member"
-        # one solve per facial-reduction scan, not one per folded row
-        assert len(solves) <= 8
+        # one factorization per facial-reduction scan, not one per folded
+        # row; the first is the unfolded system's
+        factorizations = sdp._factored.cache_info().misses
+        assert 1 < factorizations <= 8
+
+    def test_one_lmi_call_per_query(self, monkeypatch, cold_caches):
+        # the benchmark's tracer times sdp.lmi_feasible; a query that
+        # reached the engine some other way would go unseen
+        circle = parse_polynomial("x1^2 + x2^2 - 1", RING2)
+        calls = []
+
+        def counted(problem):
+            calls.append(problem)
+            return solve(problem)
+
+        solve = sdp.lmi_feasible
+        monkeypatch.setattr(sdp, "lmi_feasible", counted)
+        queries = [([CARDIOID], CARDIOID_POINT, (0.5, 1.5), 2),
+                   ([CARDIOID], CARDIOID_POINT, (-0.25, 0.75), 2),
+                   (TWISTED_CUBIC, ORIGIN, (0.0, 0.3, 0.0), 1),
+                   ([circle], (1.0, 0.0), (-0.5, 0.0), 3)]
+        for query in queries + queries:  # cold, then warm
+            before = len(calls)
+            leveld_membership(*query)
+            assert len(calls) == before + 1, query
 
     def test_level_one_agreement(self):
         # the level-1 certificate written out by hand: Hessians of
@@ -637,8 +679,7 @@ class TestSharedLift:
     """leveld_membership builds one lift per (polynomials, level)."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
-        sdp._shared_lift.cache_clear()
+    def builds(self, monkeypatch, cold_caches):
         calls = []
 
         def counted(polys, n, d):
@@ -647,8 +688,7 @@ class TestSharedLift:
 
         build = sdp.veronese_lift
         monkeypatch.setattr(sdp, "veronese_lift", counted)
-        yield calls
-        sdp._shared_lift.cache_clear()
+        return calls
 
     def test_repeated_queries_build_once(self, builds):
         for t in (0.1, 0.5, 2.0, -0.1):
@@ -700,14 +740,47 @@ class TestSharedLift:
                 getattr(shared, name)[0] = 1.0
         assert builds == [2]  # the query's lift was the one checked
 
+    def test_point_off_the_variety_caches_nothing(self, builds):
+        for _ in range(2):
+            with pytest.raises(PointNotOnVarietyError):
+                leveld_membership(TWISTED_CUBIC, (1.0, 0.0, 0.0), ORIGIN, 1)
+        assert sdp._base_point.cache_info().currsize == 0
+        assert sdp._factored.cache_info().currsize == 0
+        assert builds == [1]  # the lift itself is sound and stays shared
+
+    def test_cached_equalities_and_factorizations_are_read_only(self,
+                                                                builds):
+        # a dual proof comes from the Newton solve, so the factorization's
+        # Newton frame exists too
+        res = leveld_membership([CARDIOID], CARDIOID_POINT, (-0.25, 0.75), 2)
+        assert res.status == "non-member" and res.witness is not None
+        y = np.asarray(CARDIOID_POINT, dtype=float).tobytes()
+        lift, eq_matrix = sdp._base_point((CARDIOID,), 2, y, DEFAULT_SDP_TOL)
+        system = sdp._factor(lift.hessians, lift.distance_hessian, eq_matrix)
+        assert "newton" in vars(system)
+        arrays = [a for a in (eq_matrix, *system.svd, *system.newton,
+                              *vars(system).values())
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 16
+        for array in arrays:
+            assert not array.flags.writeable
+        assert builds == [2]
+
     def test_cache_stays_bounded(self, builds):
         circle = parse_polynomial("x1^2 + x2^2 - 1", RING2)
-        info = sdp._shared_lift.cache_info
         for level in range(1, 7):
             leveld_membership([circle], (1.0, 0.0), (0.5, 0.0), level)
-            assert info().currsize <= info().maxsize
+            for cache in SDP_CACHES:
+                info = cache.cache_info()
+                assert info.currsize <= info.maxsize, cache.__name__
         assert len(builds) == 6
-        assert info().maxsize < 6
+        assert len(SDP_CACHES) == 3
+        for cache in SDP_CACHES:
+            info = cache.cache_info()
+            # the loop made more entries than the cache keeps
+            assert info.misses > info.maxsize, (cache.__name__, info)
+        assert sdp._shared_lift.cache_info().maxsize <= 4
+        assert sdp._base_point.cache_info().maxsize <= 4
 
 
 def fresh_lift(polys, d):
@@ -729,18 +802,78 @@ class TestSharedLiftAnswers:
         out.append(([circle], (1.0, 0.0), (2.0, 0.0), 3))
         return out
 
-    def test_answers_match_a_fresh_lift(self, monkeypatch):
-        sdp._shared_lift.cache_clear()
+    def test_answers_match_a_fresh_lift(self, monkeypatch, cold_caches):
         queries = self.queries()
         shared = [leveld_membership(*q) for q in queries]
         with monkeypatch.context() as patch:
             patch.setattr(sdp, "_shared_lift", fresh_lift)
+            clear_sdp_caches()
             fresh = [leveld_membership(*q) for q in queries]
         assert {res.status for res in shared} == {"member", "non-member"}
         for query, a, b in zip(queries, shared, fresh):
-            assert (a.status, a.margin, a.iterations) == (
-                b.status, b.margin, b.iterations), query
-            if a.witness is None:
-                assert b.witness is None, query
-            else:
-                assert np.array_equal(a.witness, b.witness), query
+            assert same_answer(a, b), query
+
+
+class TestFactorizationCache:
+    """Cached and freshly built factorizations give bit-identical answers,
+    and a cache hit never stands in for a different system."""
+
+    @staticmethod
+    def queries():
+        rng = np.random.default_rng(29)
+        circle = parse_polynomial("x1^2 + x2^2 - 1", RING2)
+        out = [([CARDIOID], CARDIOID_POINT, (t, 1.0 + t), 2)
+               for t in (*rng.uniform(0.2, 2.5, size=3),
+                         *rng.uniform(-0.5, -0.1, size=3))]
+        out += [(TWISTED_CUBIC, ORIGIN, (0.0, u2, 0.0), 1)
+                for u2 in (*rng.uniform(0.05, 0.4, size=3),
+                           *rng.uniform(0.6, 1.5, size=3))]
+        # level 6 folds the circle's system eight times
+        out += [([circle], (1.0, 0.0), (u1, 0.0), 6)
+                for u1 in (0.5, 2.0, -0.5)]
+        return out
+
+    def test_warm_answers_match_cold_ones(self, cold_caches):
+        queries = self.queries()
+        cold = []
+        for query in queries:
+            clear_sdp_caches()
+            cold.append(leveld_membership(*query))
+        clear_sdp_caches()
+        forward = [leveld_membership(*query) for query in queries]
+        clear_sdp_caches()
+        backward = [leveld_membership(*query) for query in queries[::-1]]
+        assert {res.status for res in cold} == {"member", "non-member"}
+        assert any(res.iterations for res in cold)
+        for query, a, b, c in zip(queries, cold, forward, backward[::-1]):
+            assert same_answer(a, b), query
+            assert same_answer(a, c), query
+
+    def test_changed_equality_matrix_in_place(self, cold_caches):
+        # lam pinned to 2 gives 2I - I, top eigenvalue 1; after E becomes
+        # [[4]] lam is 1/2 and 0.5 I - I has top eigenvalue -1/2
+        eq_matrix = np.array([[1.0]])
+        problem = LMIFeasibilityProblem(
+            lhs=(np.eye(2),), rhs=np.eye(2),
+            eq_matrix=eq_matrix, eq_rhs=np.array([2.0]))
+        first = lmi_feasible(problem)
+        assert first.status == "infeasible"
+        assert first.margin == pytest.approx(1.0)
+        eq_matrix[0, 0] = 4.0
+        second = lmi_feasible(problem)
+        assert second.status == "feasible"
+        assert second.margin == pytest.approx(-0.5)
+        assert second.witness == pytest.approx([0.5])
+
+    def test_asymmetric_lhs_after_a_cached_symmetric_one(self, cold_caches):
+        def problem(b):
+            return LMIFeasibilityProblem(
+                lhs=(b,), rhs=np.eye(2),
+                eq_matrix=np.zeros((0, 1)), eq_rhs=np.zeros(0))
+
+        symmetric = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert lmi_feasible(problem(symmetric)).status == "feasible"
+        for _ in range(2):
+            with pytest.raises(ValueError, match="symmetric"):
+                lmi_feasible(problem(np.array([[0.0, 1.0], [0.0, 0.0]])))
+        assert sdp._factored.cache_info().currsize == 1
