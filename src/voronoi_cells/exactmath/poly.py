@@ -91,12 +91,13 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_sorted")
+    __slots__ = ("ring", "terms", "_sorted", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._sorted = None
+        self._hash = None
 
     # -- inspection --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -322,7 +323,10 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        # computed once: polynomials are immutable
+        if self._hash is None:
+            self._hash = hash((self.ring, frozenset(self.terms.items())))
+        return self._hash
 
     def __str__(self):
         if not self.terms:

@@ -20,11 +20,11 @@ whose leading term divides it, and each engine remembers it: members are
 only ever appended, so a remembered divisor still holds and a remembered
 miss resumes its scan where it stopped.  Under a signature bound (below) a
 divisor reduces only when its shifted signature is smaller, and the scan
-goes on past the ones that are not.  The final interreduction puts the kept
-members into one engine in ascending order and reduces each tail there,
-writing it back; a tail term lies below its own leading term, so only the
-other members divide it.  That engine then holds the reduced basis, and
-the minimal polynomial of the line route (below) reduces in it.
+goes on past the ones that are not.  The final interreduction, run only
+where a basis is decoded, puts the kept members into one engine in
+ascending order and reduces each tail there, writing it back; a tail term
+lies below its own leading term, so only the other members divide it.
+That engine then holds the reduced basis.
 
 Over F_p basis members are monic, so the kernel never scales.  Over Q the
 engine reduces fraction-free: basis members are primitive integer
@@ -56,9 +56,10 @@ leading term first, which makes them canonical for the ring's order.
 Elimination, saturation and intersection share one route: the grevlex
 basis of the generators comes first; a single kept variable over a
 zero-dimensional basis then takes the minimal polynomial of
-multiplication by that variable, reduced in the engine that holds the
-basis, and anything else a block-order run started from the grevlex
-basis, smallest leading term first.  Saturation feeds a square system
+multiplication by that variable, read off a matrix on the normal set that
+the signature loop's own members give, with no interreduction, and
+anything else a block-order run started from the reduced grevlex basis,
+smallest leading term first.  Saturation feeds a square system
 (at most as many generators as variables) in by increasing degree, and an
 overdetermined one in the caller's order with 1 - t*g last.
 
@@ -76,6 +77,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .exactmath.fields import PrimeField, QQ, field_from_name
 from .exactmath.orders import _FIELD_MASK, _W, GREVLEX, BlockElim, _check_fields
@@ -456,12 +459,14 @@ def groebner_basis(gens: Iterable[Polynomial], ring: PolyRing | None = None, *,
     """Reduced Groebner basis for the ring's own monomial order."""
     gens = [g for g in gens]
     ring = _resolve_ring(gens, ring)
-    return _basis(_buchberger(_Engine(ring, budget, "groebner"), gens))
+    return _basis(_finalize(_buchberger(_Engine(ring, budget, "groebner"),
+                                        gens)))
 
 
 def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
-    """Reduced basis of the generators for the order of the engine's ring,
-    held by the engine that _finalize returns.
+    """The engine, its members now a Groebner basis of the generators for
+    the order of its ring, neither minimal nor reduced; _finalize gives the
+    reduced basis.
 
     A signature-based run.  Generator i has the signature (i, 1), and
     signatures compare position over term: the generators are taken in the
@@ -491,7 +496,7 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
             seen.add(key)
             start.append(d)
     if not start:
-        return _finalize(eng)
+        return eng
 
     keyd = eng.keyd
     divides = eng.divides
@@ -533,7 +538,7 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
                 if divides(bsig[j], mon) and (g < 0 or bkey[j] >= bkey[g]):
                     g = j
             poly = eng.shifted(g, mon - bsig[g])
-    return _finalize(eng)
+    return eng
 
 
 def _add_member(eng: _Engine, d: dict, sig: int, mon: int, lower: int,
@@ -557,8 +562,9 @@ def _add_member(eng: _Engine, d: dict, sig: int, mon: int, lower: int,
     bsig.append(mon)
     bkey.append(key)
     guard = eng.guard
-    lcm = eng.lcm
+    cache = eng._keyd
     keyd = eng.keyd
+    ltg = lt | guard
     for k in range(m):
         # the shifted signatures of both sides have the lcm's key in common
         if k < lower or bkey[k] < key:
@@ -567,19 +573,27 @@ def _add_member(eng: _Engine, d: dict, sig: int, mon: int, lower: int,
             side = k
         else:
             continue
-        l = lcm(blt[k], lt)
+        # the lcm of the two leading terms, as in _Engine.lcm
+        a = blt[k]
+        mask = (((ltg - a) & guard) >> (_W - 1)) * _FIELD_MASK
+        l = (lt & mask) | (a & ~mask)
         smon = bsig[side] + l - blt[side]
         g = smon | guard
         # an older member of an earlier position is the likeliest cover
-        if k < lower and (g - blt[k]) & guard == guard or any(
-                (g - e) & guard == guard for e in earlier):
+        if k < lower and (g - a) & guard == guard:
             continue
-        if syz and any((g - z) & guard == guard for z in syz):
-            continue
-        s = bkey[side] - keyd(l)
-        if s not in queue:
-            queue[s] = smon
-            heapq.heappush(heap, s)
+        for e in earlier:
+            if (g - e) & guard == guard:
+                break
+        else:
+            for z in syz:
+                if (g - z) & guard == guard:
+                    break
+            else:
+                s = bkey[side] - (cache[l] if l in cache else keyd(l))
+                if s not in queue:
+                    queue[s] = smon
+                    heapq.heappush(heap, s)
 
 
 def _finalize(eng: _Engine) -> _Engine:
@@ -671,11 +685,11 @@ def _eliminate(gens: list[Polynomial], ring: PolyRing, drop: Sequence[str],
     The grevlex basis G of the generators, with the dropped variables
     first, always comes first.  When exactly one variable s is kept and G
     is zero-dimensional, the answer is the minimal polynomial of
-    multiplication by s on the quotient, read off the first linear
-    dependence among the normal forms of 1, s, s^2, ... (the univariate
-    step of FGLM), reduced in the engine that interreduced G, without
-    decoding G.  Otherwise a block-order Buchberger run starts from G's
-    members, the cheap end of a Groebner walk: G generates the same ideal
+    multiplication by s on the quotient (the univariate step of FGLM,
+    Faugere, Gianni, Lazard and Mora 1993), read by _minimal_polynomial off
+    the signature loop's engine: G is neither interreduced nor decoded.
+    Otherwise a block-order Buchberger run starts from the members of the
+    reduced G, the cheap end of a Groebner walk: G generates the same ideal
     and reduced bases are unique, so the result is that of block
     elimination from the generators.  The members go in smallest leading
     term first: on the twisted cubic family that takes the block run less
@@ -686,11 +700,12 @@ def _eliminate(gens: list[Polynomial], ring: PolyRing, drop: Sequence[str],
     names = head + tail
     grevlex = PolyRing(names, field=ring.field, order=GREVLEX)
     var_map = [grevlex.index_of(v) for v in ring.variables]
-    red = _buchberger(_Engine(grevlex, budget, stage),
+    eng = _buchberger(_Engine(grevlex, budget, stage),
                       [f.map_ring(grevlex, var_map) for f in gens])
-    if len(tail) == 1 and _zero_dimensional(map(red.decode, red.blt),
-                                            red.n):
-        return _minimal_polynomial(red, tail[0])
+    if len(tail) == 1 and _zero_dimensional(map(eng.decode, eng.blt),
+                                            eng.n):
+        return _minimal_polynomial(eng, tail[0])
+    red = _finalize(eng)
     work = PolyRing(names, field=ring.field, order=BlockElim(len(head)))
     return _block_eliminate(_Engine(work, budget, stage, red.steps),
                             [Polynomial(work, p.terms)
@@ -713,7 +728,7 @@ def _block_eliminate(eng: _Engine, gens: list[Polynomial]) -> GroebnerBasis:
     grevlex ring on the remaining variables."""
     work = eng.ring
     k = work.order.k
-    gb = _basis(_buchberger(eng, gens))
+    gb = _basis(_finalize(_buchberger(eng, gens)))
     tail = work.variables[k:]
     sub = PolyRing(tail, field=work.field, order=GREVLEX)
     # block order: a head-free leading term forces a head-free polynomial
@@ -748,7 +763,8 @@ def saturate(gens: Iterable[Polynomial], sat: Iterable[Polynomial],
     sat = [s for s in sat if not s.is_zero()]
     ring = _resolve_ring(gens + sat, ring)
     if not sat:
-        return _basis(_buchberger(_Engine(ring, budget, "saturation"), gens))
+        return _basis(_finalize(_buchberger(_Engine(ring, budget, "saturation"),
+                                            gens)))
     partial: GroebnerBasis | None = None
     for g in sat:
         one = _realign(saturate_eliminate(gens, g, (), ring, budget=budget),
@@ -792,72 +808,102 @@ def _minimal_polynomial(eng: _Engine, name: str) -> GroebnerBasis:
     """Monic generator of the ideal of the engine's basis intersected with
     k[name].
 
-    The engine must hold a zero-dimensional reduced basis, as _finalize
-    leaves it, and the normal forms are reduced against its members.  The
-    normal forms NF(s^i) = NF(s * NF(s^(i-1))) are echeloned as they come;
-    the first one that reduces to zero gives the dependence.  The kernel
-    reduces s * R(i-1) for the remainder R(i-1) = lam(i-1) * NF(s^(i-1)) it
-    returned last, so lam(i) = mu(i) * lam(i-1) with mu(i) the scale of the
-    new reduction (all 1 over F_p).  Over F_p the echelon rows are scaled
-    to pivot 1.  Over Q it runs fraction-free on the integer remainders:
-    a row R with pivot entry P clears the pivot of v as P * v - v[pivot] * R,
-    and a new row is divided by the joint content of its vector and its
-    combination of remainders.  The dependence sum_i c(i) * R(i) = 0 then gives the coefficients
-    c(i) * lam(i), made monic.
+    The engine must hold a zero-dimensional Groebner basis, as the
+    signature loop leaves it.  The walk of _normal_set gives the normal
+    set, 1 first.  Column b of the matrix M of multiplication by s is s * b
+    itself when that stays in the normal set, else NF(s * b), one full
+    reduction against the engine's members that charges its budget.  The
+    generator is the first linear dependence among the Krylov vectors e1,
+    M e1, M^2 e1, ... of the class of 1, found by one echelon of the rows
+    [M^i e1 | e_i]: the row that vanishes on the first block holds the
+    dependence in the second.
+
+    Over F_p the arithmetic is mod p in int64 when the D terms of a matrix
+    product, each at most (p - 1)^2, sum below 2^63 (D the size of the
+    normal set), else the same code on Python integers; pivots are scaled
+    to 1.  Over Q the columns are brought to one denominator L, so the
+    integer matrix N = L * M replaces M; each Krylov vector is divided by
+    its content, so it is lam(i) times M^i e1, and the echelon is
+    fraction-free (Bareiss): a pivot row R with pivot P clears the rows
+    below as (P * v - v[pivot] * R) / P', P' the previous pivot, which
+    divides exactly.  The dependence sum c(i) * row(i) = 0 gives the
+    coefficients c(i) * lam(i), made monic.
     """
-    field = eng.field
-    shift = 1 << (_W * eng.ring.index_of(name))
     p = eng.p
-
-    def axpy(y: dict, a: int, x: dict, b: int):
-        # y <- b * y - a * x in place, mod p over F_p (where b is 1)
-        if b != 1:
-            for e in y:
-                y[e] *= b
-        for e, c in x.items():
-            v = y.get(e, 0) - a * c
-            if p:
-                v %= p
-            if v:
-                y[e] = v
-            else:
-                y.pop(e, None)
-
-    rows: list = []  # (pivot, vector, its combination of remainders)
-    lams: list = []  # R(i) = lams[i] * NF(s^i)
-    rem, lam = eng.reduce_full({0: 1})
-    while True:
-        vec = dict(rem)
-        combo = {len(lams): 1}
-        lams.append(lam)
-        for pivot, row, row_combo in rows:
-            c = vec.get(pivot)
-            if c is not None:
-                lead = row[pivot]
-                axpy(vec, c, row, lead)
-                axpy(combo, c, row_combo, lead)
-        if not vec:
-            break
-        pivot = min(vec, key=eng.keyd)
+    sub_ring = PolyRing((name,), field=eng.field, order=GREVLEX)
+    normal = _normal_set(eng)
+    if not normal:  # the unit ideal
+        return GroebnerBasis(sub_ring, (sub_ring.one(),))
+    size = len(normal)
+    index = {b: i for i, b in enumerate(normal)}
+    shift = 1 << (_W * eng.ring.index_of(name))
+    cols = []  # column b is R / scale
+    for b in normal:
+        e = b + shift
+        cols.append(({e: 1}, 1) if e in index else eng.reduce_full({e: 1}))
+    den = lcm(*(scale.numerator for _, scale in cols))
+    dtype = np.int64 if p and size * (p - 1) ** 2 < 1 << 63 else object
+    mat = np.zeros((size, size), dtype=dtype)
+    for j, (rem, scale) in enumerate(cols):
+        m = den // scale.numerator * scale.denominator
+        for e, c in rem.items():
+            mat[index[e], j] = c * m
+    # rows [w(i) | e_i] with w(i) = lam(i) * M^i e1, i = 0 .. size
+    rows = np.zeros((size + 1, 2 * size + 1), dtype=dtype)
+    rows[:, size:] = np.identity(size + 1, dtype=dtype)
+    rows[0, 0] = 1
+    w = rows[0, :size]
+    lams = [Fraction(1)]
+    for i in range(1, size + 1):
+        w = mat @ w
         if p:
-            inv = field.inv(vec[pivot])
-            vec = {e: inv * c % p for e, c in vec.items()}
-            combo = {m: inv * c % p for m, c in combo.items()}
+            w %= p
         else:
-            content = gcd(*vec.values(), *combo.values())
-            if content != 1:
-                vec = {e: v // content for e, v in vec.items()}
-                combo = {m: v // content for m, v in combo.items()}
-        rows.append((pivot, vec, combo))
-        rem, mu = eng.reduce_full({e + shift: c for e, c in rem.items()})
-        lam *= mu
-    if not p:
-        # the newest remainder's coefficient is never cleared
-        top = combo[len(lams) - 1] * lams[-1]
-        combo = {m: c * lams[m] / top for m, c in combo.items()}
-    sub_ring = PolyRing((name,), field=field, order=GREVLEX)
+            content = gcd(*w.tolist()) or 1  # 0 once s^i is in the ideal
+            w //= content
+            lams.append(lams[-1] * den / content)
+        rows[i, :size] = w
+    prev = 1
+    for i in range(size + 1):
+        row = rows[i]
+        nonzero = np.flatnonzero(row[:size])
+        if not len(nonzero):
+            break
+        q = nonzero[0]
+        pivot = int(row[q])
+        rest = rows[i + 1:]
+        if p:
+            row = row * pow(pivot, -1, p) % p
+            rest[:] = (rest - np.outer(rest[:, q], row)) % p
+        else:
+            rest[:] = (pivot * rest - np.outer(rest[:, q], row)) // prev
+            prev = pivot
+    combo = row[size:size + i + 1].tolist()
+    if p:
+        inv = pow(combo[-1], -1, p)
+        coeffs = [c * inv % p for c in combo]
+    else:
+        top = combo[-1] * lams[i]
+        coeffs = [c * lam / top for c, lam in zip(combo, lams)]
     return GroebnerBasis(sub_ring, (sub_ring.from_terms(
-        {(m,): c for m, c in combo.items()}),))
+        {(m,): c for m, c in enumerate(coeffs)}),))
+
+
+def _normal_set(eng: _Engine) -> list[int]:
+    """The monomials that no leading term of the engine's members divides,
+    1 first; empty for the unit ideal.  The set is closed under division,
+    so each of its monomials is reached once, from the monomial without
+    one factor of its last variable."""
+    if eng.find_reducer(0) >= 0:
+        return []
+    xs = [1 << (_W * v) for v in range(eng.n)]
+    walk = [(0, 0)]  # (monomial, its last variable)
+    for b, last in walk:
+        for v in range(last, eng.n):
+            m = b + xs[v]
+            if eng.find_reducer(m) < 0:
+                walk.append((m, v))
+    return [b for b, _ in walk]
 
 
 def _realign(gb: GroebnerBasis, ring: PolyRing, budget, stage) -> GroebnerBasis:
@@ -868,7 +914,7 @@ def _realign(gb: GroebnerBasis, ring: PolyRing, budget, stage) -> GroebnerBasis:
     polys = [p.map_ring(ring, back) for p in gb.polys]
     if ring.order == GREVLEX:
         return GroebnerBasis(ring, tuple(polys))
-    return _basis(_buchberger(_Engine(ring, budget, stage), polys))
+    return _basis(_finalize(_buchberger(_Engine(ring, budget, stage), polys)))
 
 
 def intersect(gens_a: Iterable[Polynomial], gens_b: Iterable[Polynomial],

@@ -194,6 +194,42 @@ class TestVoronoiCommand:
         assert code == 0
         assert len(calls) == 21
 
+    def test_cusp_line_route_interreduces_nothing(self, capsys, cusp_file,
+                                                  monkeypatch):
+        # both saturations keep one variable over a zero-dimensional basis,
+        # so their minimal polynomials are read off the signature loop's
+        # own members with no interreduction; the two parts share a factor, so their intersection is not
+        # zero-dimensional and takes the block route, which finalizes the
+        # grevlex and the block basis, and each of the four interreduce
+        # calls after it finalizes once
+        from voronoi_cells import groebner, voronoi
+
+        inside = []
+        calls = []
+        real_finalize = groebner._finalize
+
+        def finalize(eng):
+            calls.append(inside[-1] if inside else None)
+            return real_finalize(eng)
+
+        def entered(name, op):
+            def wrapped(*args, **kwargs):
+                inside.append(name)
+                try:
+                    return op(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        monkeypatch.setattr(groebner, "_finalize", finalize)
+        for name in ("saturate_eliminate", "intersect"):
+            monkeypatch.setattr(voronoi, name,
+                                entered(name, getattr(voronoi, name)))
+        code, _, _ = run(capsys, "voronoi", cusp_file,
+                         "--point", '["4", "8"]')
+        assert code == 0
+        assert calls == ["intersect"] * 2 + [None] * 4
+
     def test_cusp_report_builds_four_sturm_chains(self, capsys, cusp_file,
                                                   monkeypatch):
         # Yun's first step, one isolation per squarefree factor (the

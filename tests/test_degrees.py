@@ -240,7 +240,7 @@ class TestExperiments:
         assert exp.degree == 2 and exp.stable
 
     @pytest.mark.parametrize("n, d, enough", [
-        (2, 3, 188), (2, 4, 456), (3, 2, 296), (3, 3, 2161)])
+        (2, 3, 167), (2, 4, 355), (3, 2, 290), (3, 3, 1830)])
     def test_modp_step_ledger(self, n, d, enough):
         # the first replica's saturation over F_32003 spends exactly
         # enough - 1 reduction steps before it needs one more; a kernel

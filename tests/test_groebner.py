@@ -14,6 +14,7 @@ from voronoi_cells.groebner import (
     _basis,
     _buchberger,
     _Engine,
+    _finalize,
     eliminate,
     groebner_basis,
     interreduce,
@@ -144,7 +145,7 @@ class TestSignatureCriteria:
         ring = PolyRing([f"x{i}" for i in range(nvars)], field=field)
         gens = [dense_form(ring, d, rng) for d in degrees]
         eng = _Engine(ring, None, "test")
-        gb = _basis(_buchberger(eng, gens))
+        gb = _basis(_finalize(_buchberger(eng, gens)))
         assert eng.zero_reductions == 0
         assert gb == groebner_basis(reversed(gens), ring)
 

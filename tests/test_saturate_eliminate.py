@@ -42,9 +42,10 @@ def install_oracle(monkeypatch):
     routes = []
 
     def minimal_polynomial(eng, name):
-        # the line route reads the reduced grevlex basis the engine holds
+        # the line route reads the grevlex basis the signature loop left
         out = real_minpoly(eng, name)
-        routes.append(("line", quotient_degree(groebner._basis(eng)),
+        basis = groebner._basis(groebner._finalize(eng))
+        routes.append(("line", quotient_degree(basis),
                        out.polys[0].total_degree()))
         return out
 

@@ -10,6 +10,15 @@ are checked against the remainder of sympy.reduced by the reduced basis,
 which is unique too.  Coefficients are rationals with denominators up to
 7, so the engine's fraction-free scaling is exercised on every input.
 
+The line route (one kept variable over a zero-dimensional ideal) is
+checked on ideals whose generators have pure-power leading terms in 3 or
+4 variables: the generator that eliminate and saturate_eliminate return
+must be the last member of sympy's lex basis with the kept variable last,
+over Q, GF(32003), GF(65537) and GF(2^31 - 1), where a product of two
+residues no longer fits the int64 sums.  Fixed cases add a kept variable
+that does not separate the points, a border normal form of several
+reduction steps, and the unit ideal.
+
 The univariate layer is checked against sympy's squarefree and real-root
 routines on products of factors with repeated multiplicities and rational
 coefficients, since only a non-constant gcd(f, f') changes the members of
@@ -22,6 +31,7 @@ gcd over F_p, are checked against sympy's over Z and GF(p).
 """
 from fractions import Fraction
 from itertools import product, zip_longest
+from math import prod
 
 import pytest
 
@@ -41,11 +51,15 @@ from voronoi_cells.exactmath.sturm import (  # noqa: E402
     squarefree_part,
     sturm_chain,
 )
+from voronoi_cells import groebner  # noqa: E402
 from voronoi_cells.groebner import (  # noqa: E402
     eliminate,
     groebner_basis,
+    is_zero_dimensional,
     normal_form,
+    quotient_degree,
     saturate,
+    saturate_eliminate,
 )
 from voronoi_cells.unifactor import (  # noqa: E402
     mod_p_irreducible,
@@ -220,6 +234,181 @@ def test_normal_form_matches_sympy_reduced(system, data):
     assert normal_form(f + member, gb, budget=BUDGET) == nf
     assert gb.contains(member, budget=BUDGET)
     assert gb.contains(f, budget=BUDGET) == (not want)
+
+
+# ---------------------------------------------------------------------------
+# the line route: one kept variable over a zero-dimensional ideal
+
+LINE_FIELDS = {"QQ": QQ, "GF32003": PrimeField(32003),
+               "GF65537": PrimeField(65537)}
+MERSENNE = PrimeField(2**31 - 1)  # int64 products of residues overflow
+LINE_CHECKS = settings(max_examples=25, deadline=None, derandomize=True,
+                       database=None)
+COEFFICIENTS = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                         st.integers(1, 3))
+
+
+@st.composite
+def zero_dimensional(draw):
+    """(variable names, generator term maps): 3 or 4 variables, generator i
+    the power x_i^d_i plus terms of lower total degree, whose grevlex
+    leading terms leave a quotient of dimension at most prod d_i <= 12, and
+    at most one further generator of degree <= 3, which may cut points
+    away or give the unit ideal."""
+    nvars = draw(st.integers(3, 4))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=nvars,
+                            max_size=nvars).filter(lambda ds: prod(ds) <= 12))
+    gens = []
+    for i, d in enumerate(degrees):
+        lower = [e for e in product(range(d), repeat=nvars) if sum(e) < d]
+        terms = draw(st.dictionaries(st.sampled_from(lower), COEFFICIENTS,
+                                     max_size=4))
+        terms[tuple(d if j == i else 0 for j in range(nvars))] = Fraction(1)
+        gens.append(terms)
+    gens += draw(st.lists(_term_map(nvars), max_size=1))
+    return ("w", "x", "y", "z")[4 - nvars:], gens
+
+
+def _monic_terms(terms, p):
+    """A univariate term map {(k,): c} made monic, mod p when p."""
+    lead = terms[max(terms)]
+    if p:
+        inv = pow(int(lead) % p, -1, p)
+        return {e: int(c) * inv % p for e, c in terms.items() if int(c) % p}
+    return {e: Fraction(c) / lead for e, c in terms.items()}
+
+
+def _sympy_eliminant(polys, symbols, p):
+    """The last member of sympy's lex basis for the symbols in the given
+    order, which for a zero-dimensional ideal generates its intersection
+    with k[symbols[-1]]; made monic."""
+    if p:
+        basis = sympy.groebner(polys, *symbols, order="lex", modulus=p)
+    else:
+        basis = sympy.groebner(polys, *symbols, order="lex", domain="QQ")
+    last = sympy.Poly(basis.exprs[-1], symbols[-1])
+    return _monic_terms({e: Fraction(int(c.p), int(c.q)) for e, c in last.terms()},
+                  p)
+
+
+def _line_inputs(names, gens, field):
+    ring = PolyRing(names, field=field)
+    ours = [_poly(ring, g) for g in gens]
+    symbols = sympy.symbols(names)
+    p = getattr(field, "p", 0)
+    theirs = [sympy.Poly.from_dict(
+        {e: (field.coerce(c) if p else sympy.Rational(c.numerator,
+                                                        c.denominator))
+         for e, c in g.items()}, *symbols).as_expr() for g in gens]
+    return ours, symbols, theirs, p
+
+
+def _check_eliminant(ours, symbols, theirs, p, kept, g=None, g_expr=None):
+    """The generator eliminate (or saturate_eliminate by g) returns for
+    the kept variable equals sympy's lex eliminant."""
+    names = ours[0].ring.variables
+    drop = [v for v in names if v != kept]
+    by_name = dict(zip(names, symbols))
+    order = [by_name[v] for v in drop] + [by_name[kept]]
+    if g is None:
+        gb = eliminate(ours, drop, budget=BUDGET)
+    else:
+        gb = saturate_eliminate(ours, g, drop, budget=BUDGET)
+        t = sympy.Symbol("t")
+        theirs, order = theirs + [1 - t * g_expr], [t] + order
+    assert gb.ring.variables == (kept,)
+    [generator] = gb.polys
+    assert _monic_terms(generator.terms, p) == generator.terms
+    assert generator.terms == _sympy_eliminant(theirs, order, p)
+    return generator
+
+
+@pytest.mark.parametrize("field_name", sorted(LINE_FIELDS))
+@LINE_CHECKS
+@given(system=zero_dimensional(), data=st.data())
+def test_line_route_eliminant_matches_sympy_lex(field_name, system, data):
+    names, gens = system
+    ours, symbols, theirs, p = _line_inputs(names, gens,
+                                            LINE_FIELDS[field_name])
+    assert is_zero_dimensional(groebner_basis(ours, budget=BUDGET))
+    kept = data.draw(st.sampled_from(names))
+    _check_eliminant(ours, symbols, theirs, p, kept)
+    g_terms = data.draw(_term_map(len(names)))
+    g = _poly(ours[0].ring, g_terms)
+    g_expr = sympy.Poly.from_dict(
+        {e: (LINE_FIELDS[field_name].coerce(c) if p
+             else sympy.Rational(c.numerator, c.denominator))
+         for e, c in g_terms.items()}, *symbols).as_expr()
+    _check_eliminant(ours, symbols, theirs, p, kept, g, g_expr)
+
+
+def test_line_route_kept_variable_that_does_not_separate_points():
+    # four points (+-1, +-1, +-1) with x = z: z takes two values, so its
+    # eliminant has degree 2 below the quotient's dimension 4
+    for field in (QQ, LINE_FIELDS["GF32003"], MERSENNE):
+        gens = [{(1, 0, 0): Fraction(1), (0, 0, 1): Fraction(-1)},
+                {(0, 2, 0): Fraction(1), (0, 0, 0): Fraction(-1)},
+                {(0, 0, 2): Fraction(1), (0, 0, 0): Fraction(-1)}]
+        ours, symbols, theirs, p = _line_inputs(("x", "y", "z"), gens, field)
+        assert quotient_degree(groebner_basis(ours)) == 4
+        for kept in ("y", "z"):
+            generator = _check_eliminant(ours, symbols, theirs, p, kept)
+            assert generator.total_degree() == 2
+
+
+def test_line_route_border_normal_form_takes_several_steps(monkeypatch):
+    # leading terms x^2, y^2, z^2 leave the eight squarefree monomials;
+    # for s = z and b = x*z the border monomial x*z^2 is no leading term:
+    # z^2 -> -x - 2 leaves -x^2 - 2*x, and x^2 needs a second step
+    spent = []
+    real = groebner._minimal_polynomial
+
+    def traced(eng, name):
+        reduce_full = eng.reduce_full
+
+        def counted(fdict, bound=None):
+            before = eng.steps
+            out = reduce_full(fdict, bound)
+            spent.append(eng.steps - before)
+            return out
+        eng.reduce_full = counted
+        return real(eng, name)
+
+    monkeypatch.setattr(groebner, "_minimal_polynomial", traced)
+    gens = [{(2, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
+             (0, 0, 0): Fraction(1)},
+            {(0, 2, 0): Fraction(1), (0, 0, 1): Fraction(1)},
+            {(0, 0, 2): Fraction(1), (1, 0, 0): Fraction(1),
+             (0, 0, 0): Fraction(2)}]
+    for field in (QQ, LINE_FIELDS["GF65537"], MERSENNE):
+        spent.clear()
+        ours, symbols, theirs, p = _line_inputs(("x", "y", "z"), gens, field)
+        assert quotient_degree(groebner_basis(ours)) == 8
+        generator = _check_eliminant(ours, symbols, theirs, p, "z")
+        assert generator.total_degree() == 8
+        assert max(spent) >= 2
+
+
+def test_line_route_unit_ideal():
+    gens = [{(1, 0, 0): Fraction(1)},
+            {(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(-1)},
+            {(0, 1, 0): Fraction(1)}, {(0, 0, 1): Fraction(1)}]
+    for field in (QQ, LINE_FIELDS["GF32003"], MERSENNE):
+        ours, symbols, theirs, p = _line_inputs(("x", "y", "z"), gens, field)
+        generator = _check_eliminant(ours, symbols, theirs, p, "z")
+        assert generator == generator.ring.one()
+
+
+@LINE_CHECKS
+@given(system=zero_dimensional(), data=st.data())
+def test_line_route_past_int64_matches_sympy_lex(system, data):
+    # D * (p - 1)^2 >= 2^63 for every D >= 2, so the echelon runs on
+    # Python integers
+    names, gens = system
+    ours, symbols, theirs, p = _line_inputs(names, gens, MERSENNE)
+    hypothesis.assume(quotient_degree(groebner_basis(ours)) >= 4)
+    _check_eliminant(ours, symbols, theirs, p,
+                     data.draw(st.sampled_from(names)))
 
 
 # ---------------------------------------------------------------------------
