@@ -866,17 +866,17 @@ def _minimal_polynomial(eng: _Engine, name: str) -> GroebnerBasis:
     prev = 1
     for i in range(size + 1):
         row = rows[i]
-        nonzero = np.flatnonzero(row[:size])
-        if not len(nonzero):
+        nonzero = row[:size].nonzero()[0]
+        if not nonzero.size:
             break
         q = nonzero[0]
         pivot = int(row[q])
         rest = rows[i + 1:]
         if p:
-            row = row * pow(pivot, -1, p) % p
-            rest[:] = (rest - np.outer(rest[:, q], row)) % p
+            rest -= rest[:, q, None] * (row * pow(pivot, -1, p) % p)
+            rest %= p
         else:
-            rest[:] = (pivot * rest - np.outer(rest[:, q], row)) // prev
+            rest[:] = (pivot * rest - rest[:, q, None] * row) // prev
             prev = pivot
     combo = row[size:size + i + 1].tolist()
     if p:

@@ -41,6 +41,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from voronoi_cells import groebner  # noqa: E402
 from voronoi_cells.exactmath import QQ, PolyRing, PrimeField  # noqa: E402
 from voronoi_cells.exactmath.sturm import (  # noqa: E402
     count_real_roots,
@@ -51,7 +52,6 @@ from voronoi_cells.exactmath.sturm import (  # noqa: E402
     squarefree_part,
     sturm_chain,
 )
-from voronoi_cells import groebner  # noqa: E402
 from voronoi_cells.groebner import (  # noqa: E402
     eliminate,
     groebner_basis,
@@ -135,22 +135,22 @@ def _poly(ring, terms):
     return ring.from_terms({e: ring.field.coerce(c) for e, c in terms.items()})
 
 
-def _expr(terms, symbols, field_name="QQ"):
+def _expr(terms, symbols, field=QQ):
     """A sympy expression; over GF(p) from the coefficients' images mod p,
     since sympy's finite fields take no fractions."""
-    if field_name == "GF":
-        coeffs = {e: FIELDS["GF"].coerce(c) for e, c in terms.items()}
+    if isinstance(field, PrimeField):
+        coeffs = {e: field.coerce(c) for e, c in terms.items()}
     else:
         coeffs = {e: sympy.Rational(c.numerator, c.denominator)
                   for e, c in terms.items()}
     return sympy.Poly.from_dict(coeffs, *symbols).as_expr()
 
 
-def _inputs(names, gens, field_name):
-    ring = PolyRing(names, field=FIELDS[field_name])
+def _inputs(names, gens, field):
+    ring = PolyRing(names, field=field)
     ours = [_poly(ring, g) for g in gens]
     symbols = sympy.symbols(names)
-    theirs = [_expr(g, symbols, field_name) for g in gens]
+    theirs = [_expr(g, symbols, field) for g in gens]
     return ours, symbols, theirs
 
 
@@ -159,7 +159,7 @@ def _inputs(names, gens, field_name):
 @given(system=systems())
 def test_groebner_basis_matches_sympy(field_name, system):
     names, gens = system
-    ours, symbols, theirs = _inputs(names, gens, field_name)
+    ours, symbols, theirs = _inputs(names, gens, FIELDS[field_name])
     gb = groebner_basis(ours, budget=BUDGET)
     reference = _sympy_groebner(theirs, symbols, field_name, "grevlex")
     assert _ours(gb, field_name) == _theirs(reference, field_name)
@@ -173,7 +173,7 @@ def test_eliminate_matches_sympy(field_name, system, data):
     drop = data.draw(st.lists(st.sampled_from(names), min_size=1,
                               max_size=len(names) - 1, unique=True))
     kept = [v for v in names if v not in drop]
-    ours, symbols, theirs = _inputs(names, gens, field_name)
+    ours, symbols, theirs = _inputs(names, gens, FIELDS[field_name])
     gb = eliminate(ours, drop, budget=BUDGET)
     assert gb.ring.variables == tuple(kept)
 
@@ -194,9 +194,9 @@ def test_eliminate_matches_sympy(field_name, system, data):
 def test_saturate_matches_sympy(field_name, system, data):
     names, gens = system
     g_terms = data.draw(_term_map(len(names)))
-    ours, symbols, theirs = _inputs(names, gens, field_name)
+    ours, symbols, theirs = _inputs(names, gens, FIELDS[field_name])
     g = _poly(ours[0].ring, g_terms)
-    g_expr = _expr(g_terms, symbols, field_name)
+    g_expr = _expr(g_terms, symbols, FIELDS[field_name])
     # a factor g in the first generator gives the saturation work to do
     ours[0] = ours[0] * g
     theirs[0] = theirs[0] * g_expr
@@ -216,7 +216,7 @@ def test_saturate_matches_sympy(field_name, system, data):
 @given(system=systems(), data=st.data())
 def test_normal_form_matches_sympy_reduced(system, data):
     names, gens = system
-    ours, symbols, theirs = _inputs(names, gens, "QQ")
+    ours, symbols, theirs = _inputs(names, gens, QQ)
     ring = ours[0].ring
     f_terms = data.draw(_term_map(len(names)))
     f = _poly(ring, f_terms)
@@ -287,26 +287,15 @@ def _sympy_eliminant(polys, symbols, p):
     else:
         basis = sympy.groebner(polys, *symbols, order="lex", domain="QQ")
     last = sympy.Poly(basis.exprs[-1], symbols[-1])
-    return _monic_terms({e: Fraction(int(c.p), int(c.q)) for e, c in last.terms()},
-                  p)
+    return _monic_terms(
+        {e: Fraction(int(c.p), int(c.q)) for e, c in last.terms()}, p)
 
 
-def _line_inputs(names, gens, field):
-    ring = PolyRing(names, field=field)
-    ours = [_poly(ring, g) for g in gens]
-    symbols = sympy.symbols(names)
-    p = getattr(field, "p", 0)
-    theirs = [sympy.Poly.from_dict(
-        {e: (field.coerce(c) if p else sympy.Rational(c.numerator,
-                                                        c.denominator))
-         for e, c in g.items()}, *symbols).as_expr() for g in gens]
-    return ours, symbols, theirs, p
-
-
-def _check_eliminant(ours, symbols, theirs, p, kept, g=None, g_expr=None):
+def _check_eliminant(ours, symbols, theirs, kept, g=None, g_expr=None):
     """The generator eliminate (or saturate_eliminate by g) returns for
     the kept variable equals sympy's lex eliminant."""
     names = ours[0].ring.variables
+    p = getattr(ours[0].ring.field, "p", 0)
     drop = [v for v in names if v != kept]
     by_name = dict(zip(names, symbols))
     order = [by_name[v] for v in drop] + [by_name[kept]]
@@ -328,18 +317,15 @@ def _check_eliminant(ours, symbols, theirs, p, kept, g=None, g_expr=None):
 @given(system=zero_dimensional(), data=st.data())
 def test_line_route_eliminant_matches_sympy_lex(field_name, system, data):
     names, gens = system
-    ours, symbols, theirs, p = _line_inputs(names, gens,
-                                            LINE_FIELDS[field_name])
+    field = LINE_FIELDS[field_name]
+    ours, symbols, theirs = _inputs(names, gens, field)
     assert is_zero_dimensional(groebner_basis(ours, budget=BUDGET))
     kept = data.draw(st.sampled_from(names))
-    _check_eliminant(ours, symbols, theirs, p, kept)
+    _check_eliminant(ours, symbols, theirs, kept)
     g_terms = data.draw(_term_map(len(names)))
-    g = _poly(ours[0].ring, g_terms)
-    g_expr = sympy.Poly.from_dict(
-        {e: (LINE_FIELDS[field_name].coerce(c) if p
-             else sympy.Rational(c.numerator, c.denominator))
-         for e, c in g_terms.items()}, *symbols).as_expr()
-    _check_eliminant(ours, symbols, theirs, p, kept, g, g_expr)
+    _check_eliminant(ours, symbols, theirs, kept,
+                     _poly(ours[0].ring, g_terms),
+                     _expr(g_terms, symbols, field))
 
 
 def test_line_route_kept_variable_that_does_not_separate_points():
@@ -349,17 +335,19 @@ def test_line_route_kept_variable_that_does_not_separate_points():
         gens = [{(1, 0, 0): Fraction(1), (0, 0, 1): Fraction(-1)},
                 {(0, 2, 0): Fraction(1), (0, 0, 0): Fraction(-1)},
                 {(0, 0, 2): Fraction(1), (0, 0, 0): Fraction(-1)}]
-        ours, symbols, theirs, p = _line_inputs(("x", "y", "z"), gens, field)
+        ours, symbols, theirs = _inputs(("x", "y", "z"), gens, field)
         assert quotient_degree(groebner_basis(ours)) == 4
         for kept in ("y", "z"):
-            generator = _check_eliminant(ours, symbols, theirs, p, kept)
+            generator = _check_eliminant(ours, symbols, theirs, kept)
             assert generator.total_degree() == 2
 
 
 def test_line_route_border_normal_form_takes_several_steps(monkeypatch):
-    # leading terms x^2, y^2, z^2 leave the eight squarefree monomials;
-    # for s = z and b = x*z the border monomial x*z^2 is no leading term:
-    # z^2 -> -x - 2 leaves -x^2 - 2*x, and x^2 needs a second step
+    # leading terms x^2, y^2, z^3 leave twelve monomials; for s = z and
+    # b = x*z^2 the border monomial x*z^3 is no leading term: z^3 ->
+    # -x - y - 2 leaves -x^2 - x*y - 2*x, and x^2 needs a second step.
+    # Without the reduction mod p after each matrix product the twelfth
+    # Krylov power would pass 2^63 even at p = 32003
     spent = []
     real = groebner._minimal_polynomial
 
@@ -378,14 +366,14 @@ def test_line_route_border_normal_form_takes_several_steps(monkeypatch):
     gens = [{(2, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
              (0, 0, 0): Fraction(1)},
             {(0, 2, 0): Fraction(1), (0, 0, 1): Fraction(1)},
-            {(0, 0, 2): Fraction(1), (1, 0, 0): Fraction(1),
-             (0, 0, 0): Fraction(2)}]
-    for field in (QQ, LINE_FIELDS["GF65537"], MERSENNE):
+            {(0, 0, 3): Fraction(1), (1, 0, 0): Fraction(1),
+             (0, 1, 0): Fraction(1), (0, 0, 0): Fraction(2)}]
+    for field in (*LINE_FIELDS.values(), MERSENNE):
         spent.clear()
-        ours, symbols, theirs, p = _line_inputs(("x", "y", "z"), gens, field)
-        assert quotient_degree(groebner_basis(ours)) == 8
-        generator = _check_eliminant(ours, symbols, theirs, p, "z")
-        assert generator.total_degree() == 8
+        ours, symbols, theirs = _inputs(("x", "y", "z"), gens, field)
+        assert quotient_degree(groebner_basis(ours)) == 12
+        generator = _check_eliminant(ours, symbols, theirs, "z")
+        assert generator.total_degree() == 12
         assert max(spent) >= 2
 
 
@@ -394,8 +382,8 @@ def test_line_route_unit_ideal():
             {(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(-1)},
             {(0, 1, 0): Fraction(1)}, {(0, 0, 1): Fraction(1)}]
     for field in (QQ, LINE_FIELDS["GF32003"], MERSENNE):
-        ours, symbols, theirs, p = _line_inputs(("x", "y", "z"), gens, field)
-        generator = _check_eliminant(ours, symbols, theirs, p, "z")
+        ours, symbols, theirs = _inputs(("x", "y", "z"), gens, field)
+        generator = _check_eliminant(ours, symbols, theirs, "z")
         assert generator == generator.ring.one()
 
 
@@ -405,10 +393,9 @@ def test_line_route_past_int64_matches_sympy_lex(system, data):
     # D * (p - 1)^2 >= 2^63 for every D >= 2, so the echelon runs on
     # Python integers
     names, gens = system
-    ours, symbols, theirs, p = _line_inputs(names, gens, MERSENNE)
+    ours, symbols, theirs = _inputs(names, gens, MERSENNE)
     hypothesis.assume(quotient_degree(groebner_basis(ours)) >= 4)
-    _check_eliminant(ours, symbols, theirs, p,
-                     data.draw(st.sampled_from(names)))
+    _check_eliminant(ours, symbols, theirs, data.draw(st.sampled_from(names)))
 
 
 # ---------------------------------------------------------------------------
