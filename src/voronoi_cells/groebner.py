@@ -61,7 +61,11 @@ the signature loop's own members give, with no interreduction, and
 anything else a block-order run started from the reduced grevlex basis,
 smallest leading term first.  Saturation feeds a square system
 (at most as many generators as variables) in by increasing degree, and an
-overdetermined one in the caller's order with 1 - t*g last.
+overdetermined one in the caller's order with 1 - t*g last.  Two
+principal ideals in one variable intersect in the ideal of the lcm of
+their generators instead, from one univariate gcd.  Every zero-dimensional
+question, from the line route to quotient_degree, reads the normal set of
+one staircase walk over packed leading terms.
 
 Each operation labels its engines with its own name, and a budget error
 reports the label of the engine that ran out as its stage: ``groebner``,
@@ -84,6 +88,8 @@ from .exactmath.fields import PrimeField, QQ, field_from_name
 from .exactmath.orders import _FIELD_MASK, _W, GREVLEX, BlockElim, _check_fields
 from .exactmath.parse import parse_polynomial
 from .exactmath.poly import Polynomial, PolyRing
+from .exactmath.sturm import (dense_divmod, dense_from_poly, dense_gcd,
+                              primitive_integer_form)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -702,8 +708,7 @@ def _eliminate(gens: list[Polynomial], ring: PolyRing, drop: Sequence[str],
     var_map = [grevlex.index_of(v) for v in ring.variables]
     eng = _buchberger(_Engine(grevlex, budget, stage),
                       [f.map_ring(grevlex, var_map) for f in gens])
-    if len(tail) == 1 and _zero_dimensional(map(eng.decode, eng.blt),
-                                            eng.n):
+    if len(tail) == 1 and _normal_set(eng) is not None:
         return _minimal_polynomial(eng, tail[0])
     red = _finalize(eng)
     work = PolyRing(names, field=ring.field, order=BlockElim(len(head)))
@@ -889,13 +894,20 @@ def _minimal_polynomial(eng: _Engine, name: str) -> GroebnerBasis:
         {(m,): c for m, c in enumerate(coeffs)}),))
 
 
-def _normal_set(eng: _Engine) -> list[int]:
+def _normal_set(eng: _Engine) -> list[int] | None:
     """The monomials that no leading term of the engine's members divides,
-    1 first; empty for the unit ideal.  The set is closed under division,
-    so each of its monomials is reached once, from the monomial without
-    one factor of its last variable."""
+    1 first: empty for the unit ideal, None when the set is infinite, that
+    is when some variable has no pure power among the leading terms.  The
+    set is closed under division, so each of its monomials is reached once,
+    from the monomial without one factor of its last variable."""
     if eng.find_reducer(0) >= 0:
         return []
+    # no leading term is 1, so one with no bit outside a variable's field
+    # is a pure power of that variable
+    for v in range(eng.n):
+        outside = ~(_FIELD_MASK << (_W * v))
+        if all(lt & outside for lt in eng.blt):
+            return None
     xs = [1 << (_W * v) for v in range(eng.n)]
     walk = [(0, 0)]  # (monomial, its last variable)
     for b, last in walk:
@@ -920,10 +932,25 @@ def _realign(gb: GroebnerBasis, ring: PolyRing, budget, stage) -> GroebnerBasis:
 def intersect(gens_a: Iterable[Polynomial], gens_b: Iterable[Polynomial],
               ring: PolyRing | None = None, *,
               budget: int | None = None) -> GroebnerBasis:
-    """Intersection of two ideals via the one-parameter trick."""
+    """Intersection of two ideals.  In one variable, two ideals with one
+    nonzero generator each meet in the ideal of their lcm (Cox, Little and
+    O'Shea, section 4.3), found with no engine and no reduction step; any
+    other pair eliminates t from t * I + (1 - t) * J."""
     gens_a = list(gens_a)
     gens_b = list(gens_b)
     ring = _resolve_ring(gens_a + gens_b, ring)
+    a, b = ([f for f in gens if not f.is_zero()] for gens in (gens_a, gens_b))
+    if ring.nvars == 1 and len(a) == len(b) == 1:
+        # the lcm g * (f / gcd(g, f)), g of the larger degree so that
+        # Euclid's first division reduces; over F_p the primitive integer
+        # forms are unit multiples of f and g
+        f, g = sorted(a + b, key=Polynomial.total_degree)
+        p = ring.field.p if isinstance(ring.field, PrimeField) else 0
+        df, dg = (primitive_integer_form(dense_from_poly(h)) for h in (f, g))
+        cofactor, _ = dense_divmod(df, dense_gcd(dg, df, p), p)
+        cofactor = ring.from_terms({(i,): ring.field.coerce(c)
+                                    for i, c in enumerate(cofactor)})
+        return GroebnerBasis(ring, ((g * cofactor).monic(),))
     work, t, moved = _adjoin_t(ring, gens_a + gens_b)
     one_minus_t = work.one() - t
     moved = ([t * f for f in moved[:len(gens_a)]]
@@ -932,23 +959,17 @@ def intersect(gens_a: Iterable[Polynomial], gens_b: Iterable[Polynomial],
     return _realign(gb, ring, budget, "intersection")
 
 
+def _leading_engine(gb: GroebnerBasis) -> _Engine:
+    """An engine whose members are the leading monomials of the basis."""
+    eng = _Engine(gb.ring, None, "dimension")
+    for mon in gb.leading_monomials():
+        eng.add_basis_poly({eng.encode(mon): 1})
+    return eng
+
+
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     """True when the quotient ring is a finite-dimensional vector space."""
-    return _zero_dimensional(gb.leading_monomials(), gb.ring.nvars)
-
-
-def _zero_dimensional(leads: Iterable[tuple[int, ...]], nvars: int) -> bool:
-    """True when the leading monomials of a reduced basis leave a finite
-    quotient: one of them is 1, or each variable has a pure power among
-    them."""
-    pure = set()
-    for lead in leads:
-        support = [i for i, e in enumerate(lead) if e]
-        if not support:
-            return True
-        if len(support) == 1:
-            pure.add(support[0])
-    return len(pure) == nvars
+    return _normal_set(_leading_engine(gb)) is not None
 
 
 def quotient_degree(gb: GroebnerBasis) -> int:
@@ -957,40 +978,7 @@ def quotient_degree(gb: GroebnerBasis) -> int:
     The unit ideal has degree zero; a basis that is not zero-dimensional
     raises NotZeroDimensionalError.
     """
-    if gb.is_unit_ideal():
-        return 0
-    if not is_zero_dimensional(gb):
+    normal = _normal_set(_leading_engine(gb))
+    if normal is None:
         raise NotZeroDimensionalError("ideal is not zero-dimensional")
-    n = gb.ring.nvars
-    leads = gb.leading_monomials()
-    bounds = [None] * n
-    for lead in leads:
-        support = [i for i, e in enumerate(lead) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or lead[i] < bounds[i]:
-                bounds[i] = lead[i]
-
-    count = 0
-    mon = [0] * n
-
-    def divisible() -> bool:
-        for lead in leads:
-            if all(mon[i] >= e for i, e in enumerate(lead)):
-                return True
-        return False
-
-    def walk(i: int):
-        nonlocal count
-        if i == n:
-            count += 1
-            return
-        for e in range(bounds[i]):
-            mon[i] = e
-            if divisible():
-                break  # larger exponents stay divisible
-            walk(i + 1)
-        mon[i] = 0
-
-    walk(0)
-    return count
+    return len(normal)

@@ -179,12 +179,13 @@ class TestVoronoiCommand:
         # one remainder sequence of f against f' serves the squarefree
         # part, Yun's first step and the Sturm chain; repeating those Euclid
         # runs made 41 divisions here, and counting the real roots of the
-        # quadratic component a second time one more
-        from voronoi_cells import unifactor
+        # quadratic component a second time one more.  Two are the lcm of
+        # the two saturation parts: one gcd step and one exact quotient
+        from voronoi_cells import groebner, unifactor
         from voronoi_cells.exactmath import sturm
 
         calls = []
-        for module in (sturm, unifactor):
+        for module in (sturm, unifactor, groebner):
             def counted(a, b, p=0, divmod_=module.dense_divmod):
                 calls.append(1)
                 return divmod_(a, b, p)
@@ -192,16 +193,16 @@ class TestVoronoiCommand:
         code, _, _ = run(capsys, "voronoi", cusp_file,
                          "--point", '["4", "8"]')
         assert code == 0
-        assert len(calls) == 21
+        assert len(calls) == 23
 
     def test_cusp_line_route_interreduces_nothing(self, capsys, cusp_file,
                                                   monkeypatch):
         # both saturations keep one variable over a zero-dimensional basis,
         # so their minimal polynomials are read off the signature loop's
-        # own members with no interreduction; the two parts share a factor, so their intersection is not
-        # zero-dimensional and takes the block route, which finalizes the
-        # grevlex and the block basis, and each of the four interreduce
-        # calls after it finalizes once
+        # own members with no interreduction; the two parts are principal
+        # in one variable, so their intersection is their lcm, with no
+        # engine, and each of the four interreduce calls after it finalizes
+        # once
         from voronoi_cells import groebner, voronoi
 
         inside = []
@@ -228,7 +229,7 @@ class TestVoronoiCommand:
         code, _, _ = run(capsys, "voronoi", cusp_file,
                          "--point", '["4", "8"]')
         assert code == 0
-        assert calls == ["intersect"] * 2 + [None] * 4
+        assert calls == [None] * 4
 
     def test_cusp_report_builds_four_sturm_chains(self, capsys, cusp_file,
                                                   monkeypatch):

@@ -277,6 +277,16 @@ class TestExperiments:
         with pytest.raises(ValueError):
             voronoi_degree_modp(spec, (0, 0), seed=0)
 
+    def test_degenerate_quartic_is_reported_unstable(self):
+        # a real instance where replicas disagree: replica 0's quartic over
+        # F_32003 measures 15 at its point, the other two the 16 of Table 1
+        exp = hypersurface_degree_experiment(2, 4, seed=162566)
+        assert [degree for _, _, degree in exp.replicas] == [15, 16, 16]
+        assert exp.degree == 16 and not exp.stable
+        # the exact pipeline over F_32003, whose two saturation parts meet
+        # in their lcm, measures 15 on that quartic too
+        assert voronoi_ideal(exp.spec, exp.point).degree == 15
+
     def test_stabilize_flags_disagreement(self):
         spec, y = random_hypersurface(2, 2, 32003, 0)
         exp = _stabilize(spec, y, 0, 32003,

@@ -2,10 +2,19 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from voronoi_cells.exactmath import GREVLEX, LEX, QQ, PolyRing, PrimeField, parse_polynomial
+from voronoi_cells.exactmath import (
+    GREVLEX,
+    LEX,
+    QQ,
+    BlockElim,
+    PolyRing,
+    PrimeField,
+    parse_polynomial,
+)
 from voronoi_cells.groebner import (
     BudgetExhaustedError,
     GroebnerBasis,
@@ -293,11 +302,96 @@ class TestIdealOperations:
         assert quotient_degree(gb) == 0
 
     def test_quotient_degree_counts_standard_monomials(self):
+        # random monomial ideals against a brute-force count of the
+        # monomials no generator divides in a box past every exponent; the
+        # quotient is finite exactly when doubling the box adds none
         rng = random.Random(7)
-        for _ in range(10):
-            a, b = rng.randint(1, 4), rng.randint(1, 4)
-            ring, gens = make(("x", "y"), f"x^{a}", f"y^{b}")
-            assert quotient_degree(groebner_basis(gens)) == a * b
+        for order, n in itertools.product(
+                (GREVLEX, LEX, BlockElim(1)), (2, 3)):
+            ring = PolyRing(("x", "y", "z")[:n], order=order)
+            ideals = [[(0,) * n], []]  # the unit and the zero ideal
+            for _ in range(12):
+                mons = [tuple(rng.randint(0, 3) for _ in range(n))
+                        for _ in range(rng.randint(1, 3))]
+                mons += [tuple(rng.randint(1, 4) if i == v else 0
+                               for i in range(n))
+                         for v in range(n) if rng.random() < 0.8]
+                ideals.append(mons)
+            finite = 0
+            for mons in ideals:
+                def count(box):
+                    return sum(not any(all(a >= b for a, b in zip(e, m))
+                                       for m in mons)
+                               for e in itertools.product(range(box),
+                                                          repeat=n))
+                gb = groebner_basis([ring.from_terms({m: 1}) for m in mons],
+                                    ring)
+                if count(5) == count(10):
+                    finite += 1
+                    assert is_zero_dimensional(gb)
+                    assert quotient_degree(gb) == count(5)
+                else:
+                    assert not is_zero_dimensional(gb)
+                    with pytest.raises(NotZeroDimensionalError):
+                        quotient_degree(gb)
+            assert 1 < finite < len(ideals) - 1
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003),
+                                       PrimeField(2**31 - 1)],
+                             ids=["Q", "F32003", "F2^31-1"])
+    def test_principal_ideals_in_one_variable_meet_in_the_lcm(
+            self, monkeypatch, field):
+        # the oracle is the one-parameter route, t eliminated from
+        # <t * f, (1 - t) * g>; the lcm route builds no engine and spends
+        # no step, and the zero ideal still takes the engine route
+        ring = PolyRing(("s",), field=field)
+        work = PolyRing(("t", "s"), field=field)
+        t = work.variable("t")
+        rng = random.Random(5)
+
+        def factor(degree):
+            coeffs = [rng.randint(-9, 9) for _ in range(degree)]
+            return ring.from_terms({(i,): field.coerce(c)
+                                    for i, c in enumerate(coeffs + [1])})
+
+        def power_product(factors, exps):
+            return prod((f ** e for f, e in zip(factors, exps)),
+                        start=ring.one())
+
+        def oracle(f, g):
+            lifted = [h.map_ring(work, [1]) for h in (f, g)]
+            return eliminate([t * lifted[0], (1 - t) * lifted[1]], ["t"],
+                             work).polys
+
+        built = []
+        engine_init = _Engine.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            engine_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Engine, "__init__", counted)
+        a, b, c, d = (factor(k) for k in (1, 2, 1, 2))
+        pairs = [(a ** 2 * b * c, a * b ** 3 * d),   # shared, multiplicities
+                 (a * b, c * d),                     # coprime
+                 (a ** 2 * b, a ** 2 * b),           # equal
+                 (a * b, (a * b).scale(field.coerce(3))),
+                 (ring.constant(7), b * c),          # a unit ideal
+                 (ring.constant(7), ring.constant(2))]
+        for _ in range(6):
+            pool = [factor(rng.randint(1, 2)) for _ in range(4)]
+            pairs.append(tuple(
+                power_product(pool, [rng.randint(0, 2) for _ in pool])
+                .scale(field.coerce(rng.randint(1, 9)))
+                for _ in range(2)))
+        for f, g in pairs:
+            before = len(built)
+            got = intersect([f], [g], ring, budget=0)
+            assert len(built) == before
+            assert got.ring == ring
+            assert [p.terms for p in got] == [p.terms for p in oracle(f, g)]
+        zero = intersect([ring.zero()], [a * b], ring)
+        assert zero.is_zero_ideal() and not oracle(ring.zero(), a * b)
 
     def test_interreduce_produces_reduced_set(self):
         ring, gens = make(("x", "y"), "x + y", "y^2 - 1", "x + y + y^2 - 1")

@@ -401,8 +401,12 @@ class TestBudget:
         assert err.value.stage in {"saturation", "intersection", "groebner"}
 
     def test_engines_carry_the_label_of_their_step(self, monkeypatch):
-        # a voronoi report saturates, intersects and interreduces, in that
-        # order, and each Groebner engine it builds is labelled so
+        # a voronoi report saturates, intersects, reads its degree and
+        # interreduces, and each Groebner engine it builds is labelled so.
+        # On a normal line the parts are principal in one variable and
+        # intersect by their lcm, with no engine, and the components are
+        # interreduced before the degree is read; the twisted cubic's
+        # normal plane has bivariate parts, which take the engine route
         labels = []
         engine_init = groebner._Engine.__init__
 
@@ -411,12 +415,17 @@ class TestBudget:
             engine_init(self, ring, budget, stage, steps)
 
         monkeypatch.setattr(groebner._Engine, "__init__", record)
-        for gens, y in ((["x1^3 - x2^2"], (4, 8)), ([QUADRIC], (0, 0, 0))):
+        line = ["saturation", "interreduction", "dimension", "interreduction"]
+        for gens, y, codim, steps in (
+                (["x1^3 - x2^2"], (4, 8), None, line),
+                ([QUADRIC], (0, 0, 0), None, line),
+                (["x2 - x1^2", "x3 - x1*x2"], (0, 0, 0), 2,
+                 ["saturation", "intersection", "dimension",
+                  "interreduction"])):
             labels.clear()
             names = tuple(f"x{i + 1}" for i in range(len(y)))
-            voronoi_ideal(IdealSpec.from_strings(names, gens), y)
-            assert [k for k, _ in groupby(labels)] == [
-                "saturation", "intersection", "interreduction"]
+            voronoi_ideal(IdealSpec.from_strings(names, gens, codim=codim), y)
+            assert [k for k, _ in groupby(labels)] == steps
 
     def test_fractional_point_spends_the_rational_step_count(self):
         # the cuspidal cubic at t = 2/5: 145 steps run out in the
