@@ -64,6 +64,9 @@ EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_NEGATIVE = 3
 EXIT_INCONCLUSIVE = 4
+# the exit code of each membership verdict; any other is inconclusive
+_VERDICT_EXIT = {"inside": EXIT_OK, "member": EXIT_OK,
+                 "outside": EXIT_NEGATIVE, "non-member": EXIT_NEGATIVE}
 
 # experiment sizes known to finish at a desk in minutes; larger cells need
 # an explicit --force
@@ -105,6 +108,16 @@ def _maybe_file(text: str) -> str:
     return text
 
 
+def _load_json(raw: str, what: str):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"invalid {what} JSON at position {exc.pos}: {exc.msg}") from exc
+    except RecursionError:
+        raise InputError(f"invalid {what} JSON: nested too deeply") from None
+
+
 def load_ideal(path: str) -> IdealSpec:
     raw = _maybe_file(path)
     try:
@@ -120,12 +133,7 @@ def load_ideal(path: str) -> IdealSpec:
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
     """A point is a JSON array of rationals written as strings."""
-    raw = _maybe_file(text)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"invalid point JSON at position {exc.pos}: {exc.msg}") from exc
+    data = _load_json(_maybe_file(text), "point")
     if not isinstance(data, list) or not data:
         raise InputError("a point must be a nonempty JSON array")
     coords = []
@@ -145,12 +153,7 @@ def parse_matrix(text: str) -> np.ndarray:
     """A matrix is JSON nested arrays or CSV rows of numbers."""
     raw = _maybe_file(text).strip()
     if raw.startswith("["):
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"invalid matrix JSON at position {exc.pos}: {exc.msg}"
-            ) from exc
+        data = _load_json(raw, "matrix")
     else:
         data = [line.split(",") for line in raw.splitlines() if line.strip()]
     try:
@@ -365,11 +368,7 @@ def cmd_lowrank(args) -> int:
     }
     body.update(body_extra)
     emit(body, args.output)
-    if status == "inside":
-        return EXIT_OK
-    if status == "outside":
-        return EXIT_NEGATIVE
-    return EXIT_INCONCLUSIVE
+    return _VERDICT_EXIT.get(status, EXIT_INCONCLUSIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +402,7 @@ def cmd_sdp_member(args) -> int:
         "iterations": result.iterations,
     }
     emit(body, args.output)
-    if result.status == "member":
-        return EXIT_OK
-    if result.status == "non-member":
-        return EXIT_NEGATIVE
-    return EXIT_INCONCLUSIVE
+    return _VERDICT_EXIT.get(result.status, EXIT_INCONCLUSIVE)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from .exactmath.fields import PrimeField
 from .exactmath.orders import GREVLEX
 from .exactmath.poly import PolyRing
-# eliminate goes unused here, but stays importable from this module:
-# perfbench/tracing.py wraps it by this name
+# eliminate and is_zero_dimensional go unused here, but stay importable
+# from this module: perfbench/tracing.py wraps them by these names
 from .groebner import (
     IdealSpec,
+    NotZeroDimensionalError,
     eliminate,
     is_zero_dimensional,
     quotient_degree,
@@ -260,10 +261,11 @@ def _sliced_degree_once(spec: IdealSpec, point, seed: int, budget) -> int:
 
     parametric = saturate_eliminate(gens, lin, ring.variables, sring,
                                     budget=budget)
-    if not is_zero_dimensional(parametric):
+    try:
+        return quotient_degree(parametric)
+    except NotZeroDimensionalError:
         raise UnluckySliceError(
-            f"sliced system is not zero-dimensional (k={k})")
-    return quotient_degree(parametric)
+            f"sliced system is not zero-dimensional (k={k})") from None
 
 
 def voronoi_degree_modp(spec: IdealSpec, point, *,

@@ -8,7 +8,8 @@ Grammar (no implicit multiplication, ``^`` is exponentiation):
     base     = rational | identifier | "(" expr ")"
     rational = natural ("/" natural)?
 
-``str(poly)`` output round-trips through this grammar.
+``str(poly)`` output round-trips through this grammar.  Nesting of
+parentheses and unary minus deeper than _MAX_NESTING raises ParseError.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+
+_MAX_NESTING = 100  # levels, far below the interpreter's recursion limit
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
@@ -83,33 +86,36 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse_expr(self) -> Polynomial:
-        result = self.parse_term()
+    def parse_expr(self, depth: int = 0) -> Polynomial:
+        result = self.parse_term(depth)
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            rhs = self.parse_term()
+            rhs = self.parse_term(depth)
             result = result + rhs if op == "+" else result - rhs
         return result
 
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
+    def parse_term(self, depth: int) -> Polynomial:
+        result = self.parse_factor(depth)
         while self.peek()[0] == "*":
             self.advance()
-            result = result * self.parse_factor()
+            result = result * self.parse_factor(depth)
         return result
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self, depth: int) -> Polynomial:
+        if depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels",
+                             self.peek()[2])
         if self.peek()[0] == "-":
             self.advance()
-            return -self.parse_factor()
-        base = self.parse_base()
+            return -self.parse_factor(depth + 1)
+        base = self.parse_base(depth)
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
             return base ** int(tok[1])
         return base
 
-    def parse_base(self) -> Polynomial:
+    def parse_base(self, depth: int) -> Polynomial:
         kind, value, position = self.peek()
         if kind == "int":
             self.advance()
@@ -130,7 +136,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", position) from None
         if kind == "(":
             self.advance()
-            inner = self.parse_expr()
+            inner = self.parse_expr(depth + 1)
             self.expect(")")
             return inner
         raise ParseError(f"unexpected token {value!r}", position)

@@ -64,8 +64,8 @@ smallest leading term first.  Saturation feeds a square system
 overdetermined one in the caller's order with 1 - t*g last.  Two
 principal ideals in one variable intersect in the ideal of the lcm of
 their generators instead, from one univariate gcd.  Every zero-dimensional
-question, from the line route to quotient_degree, reads the normal set of
-one staircase walk over packed leading terms.
+question, from the line route to quotient_degree, reads its normal set off
+the packed leading terms alone, in one staircase walk with no engine.
 
 Each operation labels its engines with its own name, and a budget error
 reports the label of the engine that ran out as its stage: ``groebner``,
@@ -140,8 +140,11 @@ class IdealSpec:
     @classmethod
     def from_json(cls, text: str) -> "IdealSpec":
         """Read {"vars": [...], "gens": [...], "field": "Q", "codim": c};
-        a document of any other shape raises ValueError naming the bad key."""
-        data = json.loads(text)
+        any other shape, or nesting too deep to decode, raises ValueError."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("the document is nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("the document must be a JSON object, not "
                              f"{type(data).__name__}")
@@ -230,7 +233,8 @@ class _Engine:
         self.bkey: list[int] = []
 
     # -- encoding ----------------------------------------------------------
-    def encode(self, mon) -> int:
+    @staticmethod
+    def encode(mon) -> int:
         _check_fields(mon)
         e = 0
         for i, v in enumerate(mon):
@@ -708,8 +712,8 @@ def _eliminate(gens: list[Polynomial], ring: PolyRing, drop: Sequence[str],
     var_map = [grevlex.index_of(v) for v in ring.variables]
     eng = _buchberger(_Engine(grevlex, budget, stage),
                       [f.map_ring(grevlex, var_map) for f in gens])
-    if len(tail) == 1 and _normal_set(eng) is not None:
-        return _minimal_polynomial(eng, tail[0])
+    if len(tail) == 1 and (normal := _normal_set(eng.blt, eng.n)) is not None:
+        return _minimal_polynomial(eng, tail[0], normal)
     red = _finalize(eng)
     work = PolyRing(names, field=ring.field, order=BlockElim(len(head)))
     return _block_eliminate(_Engine(work, budget, stage, red.steps),
@@ -809,19 +813,20 @@ def saturate_eliminate(gens: Iterable[Polynomial], g: Polynomial,
                       "saturation")
 
 
-def _minimal_polynomial(eng: _Engine, name: str) -> GroebnerBasis:
+def _minimal_polynomial(eng: _Engine, name: str,
+                        normal: list[int]) -> GroebnerBasis:
     """Monic generator of the ideal of the engine's basis intersected with
     k[name].
 
     The engine must hold a zero-dimensional Groebner basis, as the
-    signature loop leaves it.  The walk of _normal_set gives the normal
-    set, 1 first.  Column b of the matrix M of multiplication by s is s * b
-    itself when that stays in the normal set, else NF(s * b), one full
-    reduction against the engine's members that charges its budget.  The
-    generator is the first linear dependence among the Krylov vectors e1,
-    M e1, M^2 e1, ... of the class of 1, found by one echelon of the rows
-    [M^i e1 | e_i]: the row that vanishes on the first block holds the
-    dependence in the second.
+    signature loop leaves it, and normal is its normal set, 1 first, which
+    _normal_set reads off the members' leading terms alone.  Column b of
+    the matrix M of multiplication by s is s * b itself when that stays in
+    the normal set, else NF(s * b), one full reduction against the
+    engine's members that charges its budget.  The generator is the first
+    linear dependence among the Krylov vectors e1, M e1, M^2 e1, ... of the
+    class of 1, found by one echelon of the rows [M^i e1 | e_i]: the row
+    that vanishes on the first block holds the dependence in the second.
 
     Over F_p the arithmetic is mod p in int64 when the D terms of a matrix
     product, each at most (p - 1)^2, sum below 2^63 (D the size of the
@@ -836,7 +841,6 @@ def _minimal_polynomial(eng: _Engine, name: str) -> GroebnerBasis:
     """
     p = eng.p
     sub_ring = PolyRing((name,), field=eng.field, order=GREVLEX)
-    normal = _normal_set(eng)
     if not normal:  # the unit ideal
         return GroebnerBasis(sub_ring, (sub_ring.one(),))
     size = len(normal)
@@ -894,26 +898,27 @@ def _minimal_polynomial(eng: _Engine, name: str) -> GroebnerBasis:
         {(m,): c for m, c in enumerate(coeffs)}),))
 
 
-def _normal_set(eng: _Engine) -> list[int] | None:
-    """The monomials that no leading term of the engine's members divides,
-    1 first: empty for the unit ideal, None when the set is infinite, that
-    is when some variable has no pure power among the leading terms.  The
-    set is closed under division, so each of its monomials is reached once,
-    from the monomial without one factor of its last variable."""
-    if eng.find_reducer(0) >= 0:
+def _normal_set(lts: Sequence[int], n: int) -> list[int] | None:
+    """The monomials in n variables that none of the packed leading terms
+    lts divides, 1 first: empty for the unit ideal (0 in lts), None when the
+    set is infinite, that is when some variable has no pure power among lts.
+    The set is closed under division, so each of its monomials is reached
+    once, from the monomial without one factor of its last variable."""
+    if 0 in lts:
         return []
     # no leading term is 1, so one with no bit outside a variable's field
     # is a pure power of that variable
-    for v in range(eng.n):
+    for v in range(n):
         outside = ~(_FIELD_MASK << (_W * v))
-        if all(lt & outside for lt in eng.blt):
+        if all(lt & outside for lt in lts):
             return None
-    xs = [1 << (_W * v) for v in range(eng.n)]
+    guard = sum(1 << (_W * i + _W - 1) for i in range(n))
+    xs = [1 << (_W * v) for v in range(n)]
     walk = [(0, 0)]  # (monomial, its last variable)
     for b, last in walk:
-        for v in range(last, eng.n):
+        for v in range(last, n):
             m = b + xs[v]
-            if eng.find_reducer(m) < 0:
+            if all(((m | guard) - lt) & guard != guard for lt in lts):
                 walk.append((m, v))
     return [b for b, _ in walk]
 
@@ -959,17 +964,10 @@ def intersect(gens_a: Iterable[Polynomial], gens_b: Iterable[Polynomial],
     return _realign(gb, ring, budget, "intersection")
 
 
-def _leading_engine(gb: GroebnerBasis) -> _Engine:
-    """An engine whose members are the leading monomials of the basis."""
-    eng = _Engine(gb.ring, None, "dimension")
-    for mon in gb.leading_monomials():
-        eng.add_basis_poly({eng.encode(mon): 1})
-    return eng
-
-
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     """True when the quotient ring is a finite-dimensional vector space."""
-    return _normal_set(_leading_engine(gb)) is not None
+    return _normal_set([_Engine.encode(m) for m in gb.leading_monomials()],
+                       gb.ring.nvars) is not None
 
 
 def quotient_degree(gb: GroebnerBasis) -> int:
@@ -978,7 +976,8 @@ def quotient_degree(gb: GroebnerBasis) -> int:
     The unit ideal has degree zero; a basis that is not zero-dimensional
     raises NotZeroDimensionalError.
     """
-    normal = _normal_set(_leading_engine(gb))
+    normal = _normal_set([_Engine.encode(m) for m in gb.leading_monomials()],
+                         gb.ring.nvars)
     if normal is None:
         raise NotZeroDimensionalError("ideal is not zero-dimensional")
     return len(normal)

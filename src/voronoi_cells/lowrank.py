@@ -61,11 +61,14 @@ def _as_matrix(data) -> np.ndarray:
     return a
 
 
-def _first_nonzero_sign(v: np.ndarray) -> float:
-    for entry in v:
-        if abs(entry) > 1e-12:
-            return 1.0 if entry > 0 else -1.0
-    return 1.0
+def _leading_signs(vectors: np.ndarray) -> np.ndarray:
+    """Per column, the sign of its first entry above 1e-12 in size, or +1
+    when it has none: its first entry is then not below -1e-12 either."""
+    if not len(vectors):
+        return np.ones(vectors.shape[1])
+    first = vectors[(np.abs(vectors) > 1e-12).argmax(axis=0),
+                    np.arange(vectors.shape[1])]
+    return np.where(first < -1e-12, -1.0, 1.0)
 
 
 def svd(matrix) -> SVDFactors:
@@ -76,17 +79,12 @@ def svd(matrix) -> SVDFactors:
     right row carrying the sign.
     """
     a = _as_matrix(matrix)
-    m, n = a.shape
     sigma1, values, sigma2 = np.linalg.svd(a, full_matrices=True)
-    k = min(m, n)
-    for j in range(m):
-        if _first_nonzero_sign(sigma1[:, j]) < 0:
-            sigma1[:, j] = -sigma1[:, j]
-            if j < k:
-                sigma2[j, :] = -sigma2[j, :]
-    for i in range(k, n):
-        if _first_nonzero_sign(sigma2[i, :]) < 0:
-            sigma2[i, :] = -sigma2[i, :]
+    k = min(a.shape)
+    signs = _leading_signs(sigma1)
+    sigma1 *= signs
+    sigma2[:k] *= signs[:k, None]
+    sigma2[k:] *= _leading_signs(sigma2[k:].T)[:, None]
     return SVDFactors(sigma1, values, sigma2)
 
 
@@ -101,9 +99,8 @@ def eckart_young_truncate(matrix, r: int) -> np.ndarray:
     if not 1 <= r <= k:
         raise ValueError(f"rank must be between 1 and {k}")
     factors = svd(a)
-    vals = factors.values.copy()
-    vals[r:] = 0.0
-    return (factors.sigma1[:, :k] * vals) @ factors.sigma2[:k, :]
+    factors.values[r:] = 0.0
+    return factors.reconstruct()
 
 
 def _check_tol(tol: float) -> None:

@@ -410,11 +410,12 @@ def voronoi_ideal(spec: IdealSpec, point: Sequence, *,
     timings["components"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    # a principal ideal's quotient degree, when finite, is its generator's
     degree: int | None = None
-    if is_zero_dimensional(parametric):
-        degree = quotient_degree(parametric)
-    elif len(parametric.polys) == 1:
+    if len(parametric.polys) == 1:
         degree = parametric.polys[0].total_degree()
+    elif is_zero_dimensional(parametric):
+        degree = quotient_degree(parametric)
 
     # map the parametric basis back to ambient coordinates and merge with
     # the linear equations of the normal space

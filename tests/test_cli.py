@@ -604,6 +604,29 @@ class TestUsageErrors:
                            "--resolution", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["voronoi", "[" * 200000 + "]" * 200000, "--point", '["4", "8"]'],
+        ["voronoi", json.dumps(CUSP_IDEAL), "--point",
+         "[" * 200000 + "]" * 200000],
+        ["lowrank", "--u", "[" * 200000 + "]" * 200000, "--v", "[[1]]",
+         "--rank", "1"],
+        ["sdp-member", json.dumps(CUSP_IDEAL), "--point", '["1", "1"]',
+         "--u", "[" * 200000 + "]" * 200000],
+        ["voronoi", json.dumps({"vars": ["x"],
+                                "gens": ["(" * 3000 + "x" + ")" * 3000]}),
+         "--point", '["0"]'],
+        ["voronoi", json.dumps({"vars": ["x"], "gens": ["-" * 5000 + "x"]}),
+         "--point", '["0"]'],
+    ], ids=["ideal", "point", "lowrank-u", "sdp-member-u", "parentheses",
+            "unary-minus"])
+    def test_deeply_nested_input_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "nest" in err
+        assert err.count("\n") == 1
+
     def test_bad_point_payload(self, capsys, cusp_file):
         code, _, err = run(capsys, "voronoi", cusp_file, "--point", '[0.25]')
         assert code == 1

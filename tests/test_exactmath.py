@@ -21,6 +21,7 @@ from voronoi_cells.exactmath import (
     parse_polynomial,
     squarefree_part,
 )
+from voronoi_cells.exactmath.parse import _MAX_NESTING
 from voronoi_cells.exactmath.sturm import (
     cauchy_bound,
     count_roots,
@@ -244,6 +245,25 @@ class TestParser:
         R = ring("x", "y")
         f = parse_polynomial("-(x - y)^2", R)
         assert f == -(R.variable("x") - R.variable("y")) ** 2
+
+    def test_nesting_stops_at_a_fixed_depth(self):
+        # _MAX_NESTING levels of parentheses or unary minus parse; one more
+        # raises ParseError at the factor that opens it, far below the
+        # interpreter's recursion limit
+        R = ring("x")
+        x = R.variable("x")
+        depth = _MAX_NESTING
+        assert parse_polynomial("(" * depth + "x" + ")" * depth, R) == x
+        assert parse_polynomial("-" * depth + "x", R) == x
+        assert parse_polynomial("-(" * (depth // 2) + "x" + ")" * (depth // 2),
+                                R) == x
+        for text, position in (
+                ("(" * (depth + 1) + "x" + ")" * (depth + 1), depth + 1),
+                ("-" * (depth + 1) + "x", depth + 1),
+                ("x + " + "(" * 3000 + "x" + ")" * 3000, depth + 5)):
+            with pytest.raises(ParseError) as err:
+                parse_polynomial(text, R)
+            assert err.value.position == position
 
     def test_no_implicit_multiplication(self):
         R = ring("x", "y")

@@ -118,6 +118,52 @@ class TestSVD:
         assert (first.values == second.values).all()
         assert (first.sigma2 == second.sigma2).all()
 
+    def test_signs_match_the_column_loop_bit_for_bit(self):
+        # the sign convention as a loop over columns, the way it was first
+        # written; the vectorized rule must give the same bits on full-rank,
+        # rank-deficient, zero-column, small-integer and empty matrices
+        def first_nonzero_sign(v):
+            for entry in v:
+                if abs(entry) > 1e-12:
+                    return 1.0 if entry > 0 else -1.0
+            return 1.0
+
+        def reference(a):
+            m, n = a.shape
+            sigma1, values, sigma2 = np.linalg.svd(a, full_matrices=True)
+            k = min(m, n)
+            for j in range(m):
+                if first_nonzero_sign(sigma1[:, j]) < 0:
+                    sigma1[:, j] = -sigma1[:, j]
+                    if j < k:
+                        sigma2[j, :] = -sigma2[j, :]
+            for i in range(k, n):
+                if first_nonzero_sign(sigma2[i, :]) < 0:
+                    sigma2[i, :] = -sigma2[i, :]
+            return sigma1, values, sigma2
+
+        rng = np.random.default_rng(35)
+        cases = [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0))]
+        for trial in range(3000):
+            m, n = rng.integers(1, 8, size=2)
+            kind = trial % 4
+            if kind == 0:
+                a = rng.standard_normal((m, n))
+            elif kind == 1:
+                r = rng.integers(1, min(m, n) + 1)
+                a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+            elif kind == 2:
+                a = rng.standard_normal((m, n))
+                a[:, rng.random(n) < 0.4] = 0.0
+            else:
+                a = rng.integers(-1, 2, size=(m, n)).astype(float)
+            cases.append(a)
+        for a in cases:
+            got = svd(a)
+            want = reference(a.copy())
+            for x, y in zip((got.sigma1, got.values, got.sigma2), want):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             svd([1.0, 2.0, 3.0])

@@ -41,9 +41,9 @@ def install_oracle(monkeypatch):
     calls = []
     routes = []
 
-    def minimal_polynomial(eng, name):
+    def minimal_polynomial(eng, name, normal):
         # the line route reads the grevlex basis the signature loop left
-        out = real_minpoly(eng, name)
+        out = real_minpoly(eng, name, normal)
         basis = groebner._basis(groebner._finalize(eng))
         routes.append(("line", quotient_degree(basis),
                        out.polys[0].total_degree()))

@@ -351,7 +351,7 @@ def test_line_route_border_normal_form_takes_several_steps(monkeypatch):
     spent = []
     real = groebner._minimal_polynomial
 
-    def traced(eng, name):
+    def traced(eng, name, normal):
         reduce_full = eng.reduce_full
 
         def counted(fdict, bound=None):
@@ -360,7 +360,7 @@ def test_line_route_border_normal_form_takes_several_steps(monkeypatch):
             spent.append(eng.steps - before)
             return out
         eng.reduce_full = counted
-        return real(eng, name)
+        return real(eng, name, normal)
 
     monkeypatch.setattr(groebner, "_minimal_polynomial", traced)
     gens = [{(2, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),

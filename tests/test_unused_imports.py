@@ -23,6 +23,7 @@ ALLOWED = {
     ("voronoi_cells/voronoi.py", "dense_gcd"),
     ("voronoi_cells/cli.py", "count_real_roots"),
     ("voronoi_cells/degrees.py", "eliminate"),
+    ("voronoi_cells/degrees.py", "is_zero_dimensional"),
 }
 
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")

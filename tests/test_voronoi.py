@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from voronoi_cells import groebner
+from voronoi_cells.degrees import hypersurface_degree_experiment
 from voronoi_cells.exactmath import (
     PolyRing,
     count_real_roots,
@@ -31,6 +32,7 @@ from voronoi_cells.groebner import (
     eliminate,
     groebner_basis,
     intersect,
+    is_zero_dimensional,
     quotient_degree,
     saturate,
 )
@@ -401,12 +403,12 @@ class TestBudget:
         assert err.value.stage in {"saturation", "intersection", "groebner"}
 
     def test_engines_carry_the_label_of_their_step(self, monkeypatch):
-        # a voronoi report saturates, intersects, reads its degree and
-        # interreduces, and each Groebner engine it builds is labelled so.
-        # On a normal line the parts are principal in one variable and
-        # intersect by their lcm, with no engine, and the components are
-        # interreduced before the degree is read; the twisted cubic's
-        # normal plane has bivariate parts, which take the engine route
+        # a voronoi report saturates, intersects and interreduces, and each
+        # Groebner engine it builds is labelled so; its degree reads the
+        # leading terms alone, with no engine.  On a normal line the parts
+        # are principal in one variable and intersect by their lcm, with no
+        # engine; the twisted cubic's normal plane has bivariate parts,
+        # which take the engine route
         labels = []
         engine_init = groebner._Engine.__init__
 
@@ -415,17 +417,54 @@ class TestBudget:
             engine_init(self, ring, budget, stage, steps)
 
         monkeypatch.setattr(groebner._Engine, "__init__", record)
-        line = ["saturation", "interreduction", "dimension", "interreduction"]
+        line = ["saturation", "interreduction"]
         for gens, y, codim, steps in (
                 (["x1^3 - x2^2"], (4, 8), None, line),
                 ([QUADRIC], (0, 0, 0), None, line),
                 (["x2 - x1^2", "x3 - x1*x2"], (0, 0, 0), 2,
-                 ["saturation", "intersection", "dimension",
-                  "interreduction"])):
+                 ["saturation", "intersection", "interreduction"])):
             labels.clear()
             names = tuple(f"x{i + 1}" for i in range(len(y)))
             voronoi_ideal(IdealSpec.from_strings(names, gens, codim=codim), y)
             assert [k for k, _ in groupby(labels)] == steps
+
+    def test_staircases_read_the_leading_terms_alone(self, monkeypatch):
+        # each line-route elimination walks its normal set once, a report
+        # on a normal line reads its degree off the principal generator,
+        # and the degree lab asks one degree question per replica; no
+        # staircase builds an engine of its own
+        labels = []
+        walks = []
+        engine_init = groebner._Engine.__init__
+        normal_set = groebner._normal_set
+
+        def record(self, ring, budget, stage, steps=0):
+            labels.append(stage)
+            engine_init(self, ring, budget, stage, steps)
+
+        def walk(lts, n):
+            walks.append(n)
+            return normal_set(lts, n)
+
+        monkeypatch.setattr(groebner._Engine, "__init__", record)
+        monkeypatch.setattr(groebner, "_normal_set", walk)
+        voronoi_ideal(IdealSpec.from_strings(("x1", "x2"), [CUSPIDAL]), (4, 8))
+        assert "dimension" not in labels
+        assert len(labels) == 10
+        assert len(walks) == 2
+        labels.clear()
+        walks.clear()
+        hypersurface_degree_experiment(2, 4, seed=0)
+        assert len(labels) == 3
+        assert len(walks) == 6
+        basis = groebner_basis(parse_polynomial(g, PolyRing(("x", "y")))
+                               for g in ("x^2 - y", "y^3 - 1"))
+        labels.clear()
+        walks.clear()
+        assert is_zero_dimensional(basis)
+        assert quotient_degree(basis) == 6
+        assert labels == []
+        assert len(walks) == 2
 
     def test_fractional_point_spends_the_rational_step_count(self):
         # the cuspidal cubic at t = 2/5: 145 steps run out in the
