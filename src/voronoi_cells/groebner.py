@@ -50,6 +50,28 @@ arithmetic on stored keys.  Runs are deterministic.  Every reducer
 application counts against a step budget; exceeding it raises
 BudgetExhaustedError rather than looping forever.
 
+Over F_p a signature run is learned once and then replayed (the trace
+algorithms of Traverso, ISSAC 1988, and F4's learning runs).  A run from
+an empty engine has a key: the prime, the ring's size and order, and the
+supports of its normalized, deduplicated generators.  The first run of a
+key logs every popped term as cancelled, emitted or reduced by member k,
+and where each reduced polynomial came from; from the log it stores a
+trace, which numbers the terms of each reduction and gives every shifted
+tail its target slots.  A later run of the key whose trace steps fit the
+remaining budget replays it on Python integers mod p and checks every
+zero test: a term that cancelled must cancel, and an emitted or reducing
+term must be nonzero.  Members are monic, and pair selection, the
+criteria and the choice of reducer read only leading terms and
+signatures, so when every zero test agrees the replay fills the engine
+with the loop's members, signatures, step count and zero reductions, bit
+for bit: it is exact, not probabilistic.  At the first disagreement the
+engine is left untouched, the loop runs, and its trace replaces the
+stored one.  A trace is stored only when the run pops fewer than p / 4
+terms, so that a chance zero fails fewer than one replay in four, and
+the store keeps the 16 newest traces.  Runs over Q never log.  Which
+route ran, learned, replayed or fallen back, depends on what ran before
+in the process, so no report shows it.
+
 Reduced bases are monic, pairwise irreducible and sorted with the largest
 leading term first, which makes them canonical for the ring's order.
 
@@ -92,6 +114,14 @@ from .exactmath.sturm import (dense_divmod, dense_from_poly, dense_gcd,
                               primitive_integer_form)
 
 DEFAULT_BUDGET = 1_000_000
+# what a popped term did in a reduction log, besides the index of the member
+# that reduced it
+_CANCELLED = -2
+_EMITTED = -1
+# signature runs over F_p replay from at most this many traces, oldest
+# dropped first
+_TRACE_LIMIT = 16
+_TRACES: dict = {}
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -343,7 +373,8 @@ class _Engine:
             self._reducers[e] = ~len(blt)
         return -1
 
-    def reduce_full(self, fdict: dict, bound: int | None = None
+    def reduce_full(self, fdict: dict, bound: int | None = None,
+                    log: list | None = None
                     ) -> tuple[dict, int | Fraction] | None:
         """Full reduction of an encoded term dict: (R, scale), where
         R / scale is the remainder of the dict, largest term first.  Over
@@ -354,7 +385,10 @@ class _Engine:
         signature shifted onto that term is smaller than the bound.  When
         the remainder's leading term is divisible only by members whose
         shifted signature is not smaller, and one of them equals the bound,
-        the polynomial is redundant and the result is None."""
+        the polynomial is redundant and the result is None.
+
+        A log list receives (e, what) for every popped term e, in order:
+        _CANCELLED, _EMITTED, or the index of the member that reduced it."""
         p = self.p
         coeff = dict(fdict)
         cache = self._keyd
@@ -382,6 +416,8 @@ class _Engine:
             if p:
                 c %= p
             if not c:
+                if log is not None:
+                    log.append((e, _CANCELLED))
                 continue
             # a remembered first divisor or a miss over all nb members, else
             # the scan of find_reducer; under a bound, bkey + key_asc(e) <
@@ -395,6 +431,8 @@ class _Engine:
                 if idx >= 0 and bkey[idx] >= lim or idx < 0 and ~idx < nb:
                     idx = find(e, lim)
             if idx < 0:
+                if log is not None:
+                    log.append((e, _EMITTED))
                 if bound is not None and not out:
                     # the leading term, and no member of smaller signature
                     # divides it: redundant when a divisor has the bound's
@@ -405,6 +443,8 @@ class _Engine:
                         return None
                 out[e] = c
                 continue
+            if log is not None:
+                log.append((e, idx))
             self.tick()
             a = blc[idx]
             if c % a:
@@ -507,6 +547,18 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
             start.append(d)
     if not start:
         return eng
+    # a run over F_p from an empty engine has a key; its first run logs
+    # every reduction, and later runs replay the trace when it fits the
+    # budget and every zero test comes out the same
+    key = None
+    if eng.modp and not eng.blt:
+        key = (eng.p, eng.n, eng.ring.order, tuple(tuple(d) for d in start))
+        trace = _TRACES.get(key)
+        if (trace is not None and eng.steps + trace.steps <= eng.budget
+                and _replay(eng, trace, start)):
+            return eng
+    journal = None if key is None else []  # (source, log, result) per reduction
+    steps = eng.steps
 
     keyd = eng.keyd
     divides = eng.divides
@@ -525,9 +577,12 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
         syz: list[int] = []   # signature monomials of zero reductions here
         queue: dict = {}      # signature key -> signature monomial
         heap: list[int] = []  # the keys of queue
-        sig, mon, poly = pos * base - keyd(0), 0, f
+        sig, mon, poly, source = pos * base - keyd(0), 0, f, pos
         while True:
-            red = eng.reduce_full(poly, sig)
+            log = None if journal is None else []
+            red = eng.reduce_full(poly, sig, log)
+            if journal is not None:
+                journal.append((source, log, red))
             if red is not None:
                 if red[0]:
                     _add_member(eng, eng.normalize(red[0]), sig, mon, lower,
@@ -547,7 +602,10 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
             for j in range(lower, len(bsig)):
                 if divides(bsig[j], mon) and (g < 0 or bkey[j] >= bkey[g]):
                     g = j
-            poly = eng.shifted(g, mon - bsig[g])
+            source = (g, mon - bsig[g])
+            poly = eng.shifted(*source)
+    if journal is not None:
+        _learn(eng, key, start, journal, eng.steps - steps)
     return eng
 
 
@@ -604,6 +662,110 @@ def _add_member(eng: _Engine, d: dict, sig: int, mon: int, lower: int,
                 if s not in queue:
                     queue[s] = smon
                     heapq.heappush(heap, s)
+
+
+@dataclass(frozen=True)
+class _Trace:
+    """A signature run over F_p as a program on coefficients alone.
+
+    Reduction r is (source, pad, steps, emitted, cancelled, adds).  The
+    source is generator i (i >= 0) or member g shifted (~g); its terms fill
+    the first slots of a work list, pad the rest.  steps holds (slot, k,
+    targets) for each term that member k reduced, in order: the member's
+    tail lands on the target slots.  Every other popped term was emitted
+    or cancelled, at the slots listed.  adds says the remainder became the
+    next member, whose leading and tail monomials, keys, signature and
+    signature key the other fields hold; keys is the run's key cache."""
+
+    reductions: list
+    lts: list
+    lks: list
+    tails: list
+    tail_keys: list
+    bsig: list
+    bkey: list
+    steps: int
+    zero_reductions: int
+    keys: dict
+
+
+def _learn(eng: _Engine, key, start: list, journal: list, steps: int):
+    """Store the trace of the run just made from the generators start, as
+    journal logged it, when it pops fewer than p / 4 terms: a chance zero
+    among the pops then fails fewer than one replay in four."""
+    if 4 * sum(len(log) for _, log, _ in journal) >= eng.p:
+        return
+    blt = eng.blt
+    tails = [[e for e, _, _ in tail] for tail in eng.btail]
+    reductions = []
+    for source, log, red in journal:
+        if isinstance(source, int):
+            mons = list(start[source])
+        else:
+            g, t = source
+            mons = [blt[g] + t, *(e + t for e in tails[g])]
+            source = ~g
+        slot = {e: i for i, e in enumerate(mons)}
+        steps_r, emitted, cancelled = [], [], []
+        for e, what in log:
+            if what >= 0:
+                shift = e - blt[what]
+                steps_r.append((slot[e], what,
+                                [slot.setdefault(me + shift, len(slot))
+                                 for me in tails[what]]))
+            else:
+                (emitted if what == _EMITTED else cancelled).append(slot[e])
+        reductions.append((source, [0] * (len(slot) - len(mons)), steps_r,
+                           emitted, cancelled, bool(red and red[0])))
+    _TRACES.pop(key, None)
+    _TRACES[key] = _Trace(
+        reductions, list(blt), list(eng.blk), tails,
+        [[k for _, _, k in tail] for tail in eng.btail], list(eng.bsig),
+        list(eng.bkey), steps, eng.zero_reductions, dict(eng._keyd))
+    while len(_TRACES) > _TRACE_LIMIT:
+        del _TRACES[next(iter(_TRACES))]
+
+
+def _replay(eng: _Engine, trace: _Trace, start: list) -> bool:
+    """Run the trace on the coefficients of the generators start, mod p,
+    and fill the engine as the signature loop would; False, with the engine
+    untouched, when a term that cancelled does not cancel or one that was
+    emitted or reduced does.  Members are monic, and every choice of the
+    loop other than these zero tests reads only leading terms and
+    signatures, so when all of them agree the members are those of the
+    loop, bit for bit.
+
+    A step only changes terms below the one it reduces, which the loop
+    pops later, so each slot holds its popped value from its pop on: the
+    emitted and cancelled terms are read once all steps are done."""
+    p = eng.p
+    gens = [list(d.values()) for d in start]
+    tails: list[list[int]] = []
+    for source, pad, steps, emitted, cancelled, adds in trace.reductions:
+        w = (gens[source] if source >= 0 else [1, *tails[~source]]) + pad
+        for slot, k, targets in steps:
+            c = w[slot] % p
+            if not c:
+                return False
+            for t, gc in zip(targets, tails[k]):
+                w[t] -= c * gc
+        out = [w[slot] % p for slot in emitted]
+        if not all(out) or any(w[slot] % p for slot in cancelled):
+            return False
+        if adds:
+            inv = pow(out[0], -1, p)
+            tails.append([inv * c % p for c in out[1:]])
+    eng.blt.extend(trace.lts)
+    eng.blk.extend(trace.lks)
+    eng.blc.extend([1] * len(tails))
+    eng.btail.extend(list(zip(*tail)) for tail in zip(trace.tails, tails,
+                                                       trace.tail_keys))
+    eng.bsig.extend(trace.bsig)
+    eng.bkey.extend(trace.bkey)
+    eng.steps += trace.steps
+    eng.zero_reductions += trace.zero_reductions
+    eng._keyd.update(trace.keys)
+    return True
 
 
 def _finalize(eng: _Engine) -> _Engine:

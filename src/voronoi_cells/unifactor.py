@@ -8,8 +8,8 @@ the leading coefficient of its primitive integer form, so each real root
 is isolated in a bracket narrower than 1/a and the one such point in it
 is verified exactly.  The same isolation counts the real roots that each
 factor keeps.  What remains after deflation is certified
-irreducible either by degree arguments or by Rabin's irreducibility test
-modulo a prime, which runs on the same division and gcd as the rest, over
+irreducible either by degree arguments or by Ben-Or's irreducibility
+test modulo a prime, which runs on the same division and gcd as the rest, over
 F_p; otherwise it is returned unsplit and unlabelled.  Everything after
 the input's integer form works on primitive integer lists.
 """
@@ -54,7 +54,7 @@ class Factor:
 
 
 def mod_p_irreducible(int_coeffs: Sequence[int], p: int) -> bool | None:
-    """Rabin's test modulo p; None when p divides the leading coefficient."""
+    """Ben-Or's test modulo p; None when p divides the leading coefficient."""
     f = [c % p for c in int_coeffs]
     n = len(f) - 1
     if f[-1] == 0 or n <= 0:
@@ -77,10 +77,7 @@ def mod_p_irreducible(int_coeffs: Sequence[int], p: int) -> bool | None:
             prod >>= bits
         return dense_divmod(out, f, p)[1]
 
-    def x_pow_minus_x(k: int):
-        # x^(p^k) - x mod f, by binary powering on the exponent
-        e = p**k
-        base = dense_divmod([0, 1], f, p)[1]
+    def power(base, e):
         result = [1]
         while e:
             if e & 1:
@@ -88,30 +85,21 @@ def mod_p_irreducible(int_coeffs: Sequence[int], p: int) -> bool | None:
             e >>= 1
             if e:
                 base = mulmod(base, base)
-        result = result + [0] * (2 - len(result))
-        result[1] -= 1
-        return dense_divmod(result, f, p)[1]
+        return result
 
-    # Rabin: f irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1
-    # for every prime q dividing n
-    if x_pow_minus_x(n):
-        return False
-    return all(len(dense_gcd(f, x_pow_minus_x(n // q), p)) == 1
-               for q in _prime_divisors(n))
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    # Ben-Or: a reducible f has an irreducible factor of degree i <= n/2,
+    # which divides x^(p^i) - x, the product of the monic irreducibles of
+    # degree dividing i; so f is irreducible iff gcd(x^(p^i) - x, f) = 1
+    # for every i <= n/2.  x^(p^i) comes from x^(p^(i-1)) by one p-th
+    # power, and a split f stops at its smallest factor's degree
+    xq = dense_divmod([0, 1], f, p)[1]
+    for _ in range(n // 2):
+        xq = power(xq, p)
+        h = xq + [0] * (2 - len(xq))
+        h[1] -= 1
+        if len(dense_gcd(f, h, p)) != 1:
+            return False
+    return True
 
 
 def exact_rational_roots(coeffs: Sequence[Fraction]

@@ -26,6 +26,29 @@ from voronoi_cells.voronoi import (
 )
 
 
+@pytest.fixture
+def replays(monkeypatch):
+    """The outcome of every replay of a signature-run trace, in order."""
+    outcomes = []
+    real = groebner._replay
+
+    def counted(eng, trace, start):
+        outcomes.append(real(eng, trace, start))
+        return outcomes[-1]
+
+    monkeypatch.setattr(groebner, "_replay", counted)
+    return outcomes
+
+
+def _store(state, warm_up):
+    """Empty the store of signature-run traces; when state is "warm",
+    fill it by running warm_up()."""
+    groebner._TRACES.clear()
+    if state == "warm":
+        warm_up()
+        assert groebner._TRACES
+
+
 class TestFormulas:
     def test_curve_golden_values(self):
         assert formula_curve(4, 1) == 12
@@ -241,19 +264,32 @@ class TestExperiments:
 
     @pytest.mark.parametrize("n, d, enough", [
         (2, 3, 167), (2, 4, 355), (3, 2, 290), (3, 3, 1830)])
-    def test_modp_step_ledger(self, n, d, enough):
+    def test_modp_step_ledger(self, n, d, enough, replays):
         # the first replica's saturation over F_32003 spends exactly
         # enough - 1 reduction steps before it needs one more; a kernel
         # that picks another reducer or S-pair moves this boundary, and so
         # does an input order other than increasing degree for the square
         # plane systems (n = 2) or the caller's order for the
-        # overdetermined space ones (n = 3)
-        with pytest.raises(BudgetExhaustedError) as err:
-            hypersurface_degree_experiment(n, d, seed=0, budget=enough - 1)
-        assert err.value.stage == "saturation"
-        assert err.value.budget == enough - 1
-        exp = hypersurface_degree_experiment(n, d, seed=0, budget=enough)
-        assert exp.degree == conjecture_hypersurface(n, d)
+        # overdetermined space ones (n = 3).  A replayed trace must keep
+        # the boundary and its stage
+        def warm_up():
+            hypersurface_degree_experiment(n, d, seed=0)
+
+        for state in ("cold", "warm"):
+            _store(state, warm_up)
+            with pytest.raises(BudgetExhaustedError) as err:
+                hypersurface_degree_experiment(n, d, seed=0,
+                                               budget=enough - 1)
+            assert err.value.stage == "saturation"
+            assert err.value.budget == enough - 1
+            _store(state, warm_up)
+            replays.clear()
+            exp = hypersurface_degree_experiment(n, d, seed=0, budget=enough)
+            assert exp.degree == conjecture_hypersurface(n, d)
+            # cold, only replica 2 finds the trace replica 0 left; warm,
+            # replica 0 itself replays at the boundary
+            assert len(replays) == (3 if state == "warm" else 1)
+            assert replays[0] or state == "cold"
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_square_saturations_make_no_zero_reduction(self, monkeypatch, d):
@@ -269,8 +305,12 @@ class TestExperiments:
             return out
 
         monkeypatch.setattr(groebner, "_buchberger", counted)
-        hypersurface_degree_experiment(2, d, seed=0)
-        assert zeros == [0, 0, 0]
+        for state in ("cold", "warm"):
+            _store(state, lambda: hypersurface_degree_experiment(2, d,
+                                                                 seed=0))
+            zeros.clear()
+            hypersurface_degree_experiment(2, d, seed=0)
+            assert zeros == [0, 0, 0]
 
     def test_rejects_rational_field(self):
         spec = IdealSpec.from_strings(("x1", "x2"), ["x2 - x1^2"])
@@ -294,3 +334,83 @@ class TestExperiments:
         assert isinstance(exp, DegreeExperiment)
         assert exp.degree == 4
         assert not exp.stable
+
+
+class TestSignatureTraces:
+    """A signature run over F_p replays the trace of an earlier run with the
+    same key, and must fill its engine exactly as the loop would."""
+
+    def test_warm_engines_equal_cold_ones(self, monkeypatch, replays):
+        engines = []
+        real = groebner._buchberger
+
+        def snapshot(eng, gens):
+            real(eng, gens)
+            engines.append((list(eng.blt), list(eng.blc),
+                            [list(tail) for tail in eng.btail],
+                            list(eng.bsig), list(eng.bkey), eng.steps,
+                            eng.zero_reductions))
+            return eng
+
+        monkeypatch.setattr(groebner, "_buchberger", snapshot)
+        warm_replays = {}
+        for n, d in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)):
+            for seed in range(6):
+                groebner._TRACES.clear()
+                runs = []
+                for _ in ("cold", "warm"):
+                    engines.clear()
+                    replays.clear()
+                    exp = hypersurface_degree_experiment(n, d, seed=seed)
+                    runs.append((exp, list(engines)))
+                assert runs[0] == runs[1], (n, d, seed)
+                warm_replays.setdefault((n, d), []).extend(replays)
+        # every warm replica replays, but for six of (3, 3) whose zero tests
+        # differ from those of the trace they found, and which fall back
+        for cell, outcomes in warm_replays.items():
+            assert outcomes.count(True) == 18 - 6 * (cell == (3, 3)), cell
+
+    def test_degenerate_quartic_falls_back(self, replays):
+        # replica 0 over F_32003 has the support of every other quartic but
+        # cancels where they do not: its replay fails, and the loop measures
+        # 15 as before
+        for state in ("cold", "warm"):
+            _store(state, lambda: hypersurface_degree_experiment(2, 4,
+                                                                 seed=0))
+            replays.clear()
+            exp = hypersurface_degree_experiment(2, 4, seed=162566)
+            assert [degree for _, _, degree in exp.replicas] == [15, 16, 16]
+            assert False in replays
+
+    def test_runs_of_many_pops_store_no_trace(self):
+        # replica 0 of Table 1 (3, 4) pops more than p / 4 terms
+        groebner._TRACES.clear()
+        spec, y = random_hypersurface(3, 4, 32003, 0)
+        assert degrees._sliced_degree_once(spec, y, 0, None) == 61
+        assert not groebner._TRACES
+
+    def test_small_primes_replay_nothing(self, replays):
+        # over F_3 even one popped term breaks 4 * pops < p
+        gens = ["x^3 + y + 1", "y^2 - x*y + 2"]
+        for field, stored in (("Fp:3", 0), ("Fp:32003", 1)):
+            groebner._TRACES.clear()
+            spec = IdealSpec.from_strings(("x", "y"), gens, field=field)
+            bases = [groebner.groebner_basis(spec.generators)
+                     for _ in range(2)]
+            assert bases[0] == bases[1]
+            assert len(groebner._TRACES) == stored
+        assert replays == [True]
+
+    def test_store_keeps_the_sixteen_newest_traces(self, replays):
+        groebner._TRACES.clear()
+        specs = [IdealSpec.from_strings(("x", "y"), [f"x^{k} + y + 1",
+                                                     "y^2 - x"],
+                                        field="Fp:32003")
+                 for k in range(1, 21)]
+        for spec in specs:
+            groebner.groebner_basis(spec.generators)
+        assert len(groebner._TRACES) == groebner._TRACE_LIMIT == 16
+        assert not replays
+        groebner.groebner_basis(specs[-1].generators)
+        groebner.groebner_basis(specs[0].generators)
+        assert replays == [True]

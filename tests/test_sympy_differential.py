@@ -26,9 +26,12 @@ the Sturm chain: the squarefree part up to a scalar, the squarefree
 decomposition, the number of distinct real roots, one root in every
 isolating bracket, and root counts on half-open intervals whose endpoints
 are multiple roots.  The integer division and gcd that serve them, and
-Rabin's irreducibility test modulo p that runs on the same division and
-gcd over F_p, are checked against sympy's over Z and GF(p).
+Ben-Or's irreducibility test modulo p that runs on the same division and
+gcd over F_p, are checked against sympy's over Z and GF(p); the test's
+verdicts are also checked against Rabin's test, which it replaced, up to
+degree 30 at every witness prime.
 """
+import random
 from fractions import Fraction
 from itertools import product, zip_longest
 from math import prod
@@ -40,6 +43,8 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.domains import ZZ  # noqa: E402
+from sympy.polys.galoistools import gf_irreducible_p  # noqa: E402
 
 from voronoi_cells import groebner  # noqa: E402
 from voronoi_cells.exactmath import QQ, PolyRing, PrimeField  # noqa: E402
@@ -62,6 +67,7 @@ from voronoi_cells.groebner import (  # noqa: E402
     saturate_eliminate,
 )
 from voronoi_cells.unifactor import (  # noqa: E402
+    _WITNESS_PRIMES,
     mod_p_irreducible,
     squarefree_decomposition,
 )
@@ -541,6 +547,63 @@ def test_mod_p_irreducible_matches_sympy(p, f, scale_lead):
 def test_mod_p_irreducible_rejects_products(p, g, u, v):
     f = _mul(_mul(g, u), v)
     assert mod_p_irreducible(f, p) is False
+
+
+def _rabin(f, p):
+    """Rabin's test modulo p, the witness test before Ben-Or's: f of
+    degree n is irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x,
+    f) = 1 for every prime q dividing n.  Products are one big-integer
+    product of packed coefficients, as in the test it replaced."""
+    n = len(f) - 1
+    bits = (n * p * p).bit_length()
+
+    def mulmod(a, b):
+        prod = (sum(c << (bits * i) for i, c in enumerate(a))
+                * sum(c << (bits * i) for i, c in enumerate(b)))
+        out = []
+        while prod:
+            out.append(prod & ((1 << bits) - 1))
+            prod >>= bits
+        return dense_divmod(out, f, p)[1]
+
+    def x_power_minus_x(k):
+        result, base, e = [1], [0, 1], p ** k
+        while e:
+            if e & 1:
+                result = mulmod(result, base)
+            base = mulmod(base, base)
+            e >>= 1
+        minus_x = [c - d for c, d in zip_longest(result, [0, 1], fillvalue=0)]
+        return dense_divmod(minus_x, f, p)[1]
+
+    primes = [q for q in range(2, n + 1)
+              if n % q == 0 and all(q % r for r in range(2, q))]
+    return not x_power_minus_x(n) and all(
+        len(dense_gcd(f, x_power_minus_x(n // q), p)) == 1 for q in primes)
+
+
+def _gf_irreducible(f, p):
+    return gf_irreducible_p([ZZ(c) for c in reversed(f)], p, ZZ)
+
+
+@pytest.mark.parametrize("k, p", enumerate(_WITNESS_PRIMES))
+def test_ben_or_matches_rabin_and_sympy_at_witness_primes(k, p):
+    # over the five primes, one random polynomial of each degree 2-30
+    # (mostly reducible), an irreducible one found by rejection with sympy,
+    # and a product whose smallest factor has degree k + 1
+    rng = random.Random(p)
+    cases = [[rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+             for n in range(2 + k, 31, len(_WITNESS_PRIMES))]
+    while not _gf_irreducible(f := [rng.randrange(p)
+                                    for _ in range(2 + 7 * k)] + [1], p):
+        pass
+    g = [rng.randrange(p) for _ in range(k + 1)] + [1]
+    h = [rng.randrange(p) for _ in range(12)] + [1]
+    cases += [f, [c % p for c in _mul(g, h)]]
+    verdicts = [mod_p_irreducible(f, p) for f in cases]
+    assert verdicts == [_rabin(f, p) for f in cases]
+    assert verdicts == [_gf_irreducible(f, p) for f in cases]
+    assert verdicts[-2:] == [True, False]
 
 
 @CHECKS
