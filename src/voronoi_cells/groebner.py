@@ -558,7 +558,6 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
                 and _replay(eng, trace, start)):
             return eng
     journal = None if key is None else []  # (source, log, result) per reduction
-    steps = eng.steps
 
     keyd = eng.keyd
     divides = eng.divides
@@ -605,7 +604,7 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
             source = (g, mon - bsig[g])
             poly = eng.shifted(*source)
     if journal is not None:
-        _learn(eng, key, start, journal, eng.steps - steps)
+        _learn(eng, key, start, journal)
     return eng
 
 
@@ -668,9 +667,9 @@ def _add_member(eng: _Engine, d: dict, sig: int, mon: int, lower: int,
 class _Trace:
     """A signature run over F_p as a program on coefficients alone.
 
-    Reduction r is (source, pad, steps, emitted, cancelled, adds).  The
+    Reduction r is (source, pad, reduced, emitted, cancelled, adds).  The
     source is generator i (i >= 0) or member g shifted (~g); its terms fill
-    the first slots of a work list, pad the rest.  steps holds (slot, k,
+    the first slots of a work list, pad the rest.  reduced holds (slot, k,
     targets) for each term that member k reduced, in order: the member's
     tail lands on the target slots.  Every other popped term was emitted
     or cancelled, at the slots listed.  adds says the remainder became the
@@ -689,7 +688,7 @@ class _Trace:
     keys: dict
 
 
-def _learn(eng: _Engine, key, start: list, journal: list, steps: int):
+def _learn(eng: _Engine, key, start: list, journal: list):
     """Store the trace of the run just made from the generators start, as
     journal logged it, when it pops fewer than p / 4 terms: a chance zero
     among the pops then fails fewer than one replay in four."""
@@ -706,22 +705,23 @@ def _learn(eng: _Engine, key, start: list, journal: list, steps: int):
             mons = [blt[g] + t, *(e + t for e in tails[g])]
             source = ~g
         slot = {e: i for i, e in enumerate(mons)}
-        steps_r, emitted, cancelled = [], [], []
+        reduced, emitted, cancelled = [], [], []
         for e, what in log:
             if what >= 0:
                 shift = e - blt[what]
-                steps_r.append((slot[e], what,
+                reduced.append((slot[e], what,
                                 [slot.setdefault(me + shift, len(slot))
                                  for me in tails[what]]))
             else:
                 (emitted if what == _EMITTED else cancelled).append(slot[e])
-        reductions.append((source, [0] * (len(slot) - len(mons)), steps_r,
+        reductions.append((source, [0] * (len(slot) - len(mons)), reduced,
                            emitted, cancelled, bool(red and red[0])))
     _TRACES.pop(key, None)
     _TRACES[key] = _Trace(
         reductions, list(blt), list(eng.blk), tails,
         [[k for _, _, k in tail] for tail in eng.btail], list(eng.bsig),
-        list(eng.bkey), steps, eng.zero_reductions, dict(eng._keyd))
+        list(eng.bkey), sum(len(r[2]) for r in reductions),
+        eng.zero_reductions, dict(eng._keyd))
     while len(_TRACES) > _TRACE_LIMIT:
         del _TRACES[next(iter(_TRACES))]
 
@@ -741,9 +741,9 @@ def _replay(eng: _Engine, trace: _Trace, start: list) -> bool:
     p = eng.p
     gens = [list(d.values()) for d in start]
     tails: list[list[int]] = []
-    for source, pad, steps, emitted, cancelled, adds in trace.reductions:
+    for source, pad, reduced, emitted, cancelled, adds in trace.reductions:
         w = (gens[source] if source >= 0 else [1, *tails[~source]]) + pad
-        for slot, k, targets in steps:
+        for slot, k, targets in reduced:
             c = w[slot] % p
             if not c:
                 return False

@@ -8,8 +8,8 @@ the leading coefficient of its primitive integer form, so each real root
 is isolated in a bracket narrower than 1/a and the one such point in it
 is verified exactly.  The same isolation counts the real roots that each
 factor keeps.  What remains after deflation is certified
-irreducible either by degree arguments or by Ben-Or's irreducibility
-test modulo a prime, which runs on the same division and gcd as the rest, over
+irreducible either by degree arguments or by Ben-Or's irreducibility test
+modulo a prime, which runs on the same division and gcd as the rest, over
 F_p; otherwise it is returned unsplit and unlabelled.  Everything after
 the input's integer form works on primitive integer lists.
 """
