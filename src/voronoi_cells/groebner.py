@@ -68,7 +68,8 @@ for bit: it is exact, not probabilistic.  At the first disagreement the
 engine is left untouched, the loop runs, and its trace replaces the
 stored one.  A trace is stored only when the run pops fewer than p / 4
 terms, so that a chance zero fails fewer than one replay in four, and
-the store keeps the 16 newest traces.  Runs over Q never log.  Which
+fewer than 16,384, so that a large prime keeps traces small; the store
+keeps the 16 newest.  Runs over Q never log.  Which
 route ran, learned, replayed or fallen back, depends on what ran before
 in the process, so no report shows it.
 
@@ -119,8 +120,10 @@ DEFAULT_BUDGET = 1_000_000
 _CANCELLED = -2
 _EMITTED = -1
 # signature runs over F_p replay from at most this many traces, oldest
-# dropped first
+# dropped first; a run is traced while 4 * (its popped terms) stays below
+# both p and _TRACE_POPS, which keeps a trace under about 3 MB
 _TRACE_LIMIT = 16
+_TRACE_POPS = 1 << 16
 _TRACES: dict = {}
 
 
@@ -558,6 +561,7 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
                 and _replay(eng, trace, start)):
             return eng
     journal = None if key is None else []  # (source, log, result) per reduction
+    room = min(eng.p, _TRACE_POPS)  # 4 * pops must stay below it
 
     keyd = eng.keyd
     divides = eng.divides
@@ -582,6 +586,9 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
             red = eng.reduce_full(poly, sig, log)
             if journal is not None:
                 journal.append((source, log, red))
+                room -= 4 * len(log)
+                if room <= 0:
+                    journal = None  # too long to store: log no more
             if red is not None:
                 if red[0]:
                     _add_member(eng, eng.normalize(red[0]), sig, mon, lower,
@@ -690,10 +697,7 @@ class _Trace:
 
 def _learn(eng: _Engine, key, start: list, journal: list):
     """Store the trace of the run just made from the generators start, as
-    journal logged it, when it pops fewer than p / 4 terms: a chance zero
-    among the pops then fails fewer than one replay in four."""
-    if 4 * sum(len(log) for _, log, _ in journal) >= eng.p:
-        return
+    journal logged it."""
     blt = eng.blt
     tails = [[e for e, _, _ in tail] for tail in eng.btail]
     reductions = []

@@ -383,11 +383,13 @@ class TestSignatureTraces:
             assert False in replays
 
     def test_runs_of_many_pops_store_no_trace(self):
-        # replica 0 of Table 1 (3, 4) pops more than p / 4 terms
-        groebner._TRACES.clear()
-        spec, y = random_hypersurface(3, 4, 32003, 0)
-        assert degrees._sliced_degree_once(spec, y, 0, None) == 61
-        assert not groebner._TRACES
+        # replica 0 of Table 1 (3, 4) pops more than p / 4 terms over
+        # F_32003, and more than 16,384 over F_(2^31 - 1)
+        for p in (32003, 2 ** 31 - 1):
+            groebner._TRACES.clear()
+            spec, y = random_hypersurface(3, 4, p, 0)
+            assert degrees._sliced_degree_once(spec, y, 0, None) == 61
+            assert not groebner._TRACES
 
     def test_small_primes_replay_nothing(self, replays):
         # over F_3 even one popped term breaks 4 * pops < p
