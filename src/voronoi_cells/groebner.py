@@ -553,15 +553,16 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
     # a run over F_p from an empty engine has a key; its first run logs
     # every reduction, and later runs replay the trace when it fits the
     # budget and every zero test comes out the same
-    key = None
+    journal = None  # (source, log, result) per reduction of a keyed run
     if eng.modp and not eng.blt:
-        key = (eng.p, eng.n, eng.ring.order, tuple(tuple(d) for d in start))
-        trace = _TRACES.get(key)
+        run_key = (eng.p, eng.n, eng.ring.order,
+                   tuple(tuple(d) for d in start))
+        trace = _TRACES.get(run_key)
         if (trace is not None and eng.steps + trace.steps <= eng.budget
                 and _replay(eng, trace, start)):
             return eng
-    journal = None if key is None else []  # (source, log, result) per reduction
-    room = min(eng.p, _TRACE_POPS)  # 4 * pops must stay below it
+        journal = []
+        room = min(eng.p, _TRACE_POPS)  # 4 * pops must stay below it
 
     keyd = eng.keyd
     divides = eng.divides
@@ -611,7 +612,7 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
             source = (g, mon - bsig[g])
             poly = eng.shifted(*source)
     if journal is not None:
-        _learn(eng, key, start, journal)
+        _learn(eng, run_key, start, journal)
     return eng
 
 
