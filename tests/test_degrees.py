@@ -372,8 +372,8 @@ class TestSignatureTraces:
 
     def test_degenerate_quartic_falls_back(self, replays):
         # replica 0 over F_32003 has the support of every other quartic but
-        # cancels where they do not: its replay fails, and the loop measures
-        # 15 as before
+        # not their zero tests: a replay of its trace, or against it, fails
+        # and the loop runs, which measures 15 as before
         for state in ("cold", "warm"):
             _store(state, lambda: hypersurface_degree_experiment(2, 4,
                                                                  seed=0))
