@@ -211,7 +211,7 @@ def random_hypersurface(n: int, d: int, prime: int, seed: int,
     value = partial.evaluate(tuple(y))
     if homogeneous:
         terms[pivot] = field.mul(field.neg(value),
-                                 field.inv(pow(y[0], d, prime)))
+                                 field.inv(field.pow(y[0], d)))
     else:
         terms[pivot] = field.neg(value)
     if terms[pivot] == 0:
@@ -238,26 +238,21 @@ def _sliced_degree_once(spec: IdealSpec, point, seed: int, budget) -> int:
     event, and replication catches it.
     """
     ring = spec.ring
-    field = ring.field
-    p = field.p
+    p = ring.field.p
     n = ring.nvars
     rng = random.Random(seed)
     ns = normal_space_at(spec, point)
     k = ns.dimension
 
-    slice_polys = []
-    for _ in range(ns.expected_codim - 1):
-        form = ns.u_ring.zero()
-        for i, c in enumerate(_nonzero_coeffs(rng, p, n)):
-            if c:
-                form = form + ns.u_ring.variable(i).scale(c)
-        slice_polys.append(form + ns.u_ring.constant(rng.randrange(p)))
+    # each slice draws its coefficients before its constant
+    slice_polys = [ns.u_ring.linear(_nonzero_coeffs(rng, p, n),
+                                    rng.randrange(p))
+                   for _ in range(ns.expected_codim - 1)]
 
     sring, gens = parametric_critical_system(spec, ns, slices=slice_polys)
-    lin = sring.zero()
-    for i, c in enumerate(_nonzero_coeffs(rng, p, n)):
-        if c:
-            lin = lin + (sring.variable(i) - sring.constant(point[i])).scale(c)
+    coeffs = _nonzero_coeffs(rng, p, n)
+    lin = sring.linear(coeffs + [0] * k,
+                       -sum(c * v for c, v in zip(coeffs, ns.point)))
 
     parametric = saturate_eliminate(gens, lin, ring.variables, sring,
                                     budget=budget)

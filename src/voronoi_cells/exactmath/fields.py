@@ -58,6 +58,9 @@ class RationalField:
     def neg(self, a):
         return -a
 
+    def pow(self, a, e: int):
+        return a ** e
+
     def inv(self, a):
         if a == 0:
             raise FieldError("division by zero in Q")
@@ -113,6 +116,9 @@ class PrimeField:
 
     def neg(self, a):
         return (-a) % self.p
+
+    def pow(self, a, e: int):
+        return pow(a, e, self.p)
 
     def inv(self, a):
         a %= self.p

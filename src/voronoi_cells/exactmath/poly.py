@@ -58,6 +58,17 @@ class PolyRing:
         mon[i] = 1
         return Polynomial(self, {tuple(mon): self.field.one})
 
+    def linear(self, coeffs: Sequence, constant=0) -> "Polynomial":
+        """The affine form sum coeffs[i] * x_i + constant, with one
+        coefficient per variable, each coerced into the field."""
+        if len(coeffs) != self.nvars:
+            raise ValueError("need one coefficient per variable")
+        coerce = self.field.coerce
+        terms = {tuple(int(i == j) for j in range(self.nvars)): coerce(c)
+                 for i, c in enumerate(coeffs)}
+        terms[self._zero_mon] = coerce(constant)
+        return self.from_terms(terms)
+
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.variable(i) for i in range(self.nvars))
 
@@ -262,7 +273,7 @@ class Polynomial:
             term = c
             for i, e in enumerate(mon):
                 if e:
-                    term = field.mul(term, _field_pow(field, vals[i], e))
+                    term = field.mul(term, field.pow(vals[i], e))
             total = field.add(total, term)
         return total
 
@@ -359,14 +370,3 @@ class Polynomial:
     def __repr__(self):
         return f"<{self} over {self.ring.field.name}>"
 
-
-def _field_pow(field, value, e: int):
-    result = field.one
-    base = value
-    while e:
-        if e & 1:
-            result = field.mul(result, base)
-        e >>= 1
-        if e:
-            base = field.mul(base, base)
-    return result

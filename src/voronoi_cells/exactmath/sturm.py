@@ -34,15 +34,12 @@ from typing import Sequence
 from .poly import Polynomial
 
 
-def dense_from_poly(f: Polynomial, var: int | None = None) -> list[Fraction]:
+def dense_from_poly(f: Polynomial) -> list[Fraction]:
     """Dense coefficients of a polynomial using at most one variable."""
     used = f.variables_used()
     if len(used) > 1:
         raise ValueError("polynomial is not univariate")
-    if var is None:
-        var = used[0] if used else 0
-    elif used and used[0] != var:
-        raise ValueError("polynomial uses a different variable")
+    var = used[0] if used else 0
     out = [Fraction(0)] * (f.degree_in(var) + 1 if not f.is_zero() else 1)
     for mon, c in f.terms.items():
         out[mon[var]] = Fraction(c)

@@ -65,13 +65,14 @@ criteria and the choice of reducer read only leading terms and
 signatures, so when every zero test agrees the replay fills the engine
 with the loop's members, signatures, step count and zero reductions, bit
 for bit: it is exact, not probabilistic.  At the first disagreement the
-engine is left untouched, the loop runs, and its trace replaces the
-stored one.  A trace is stored only when the run pops fewer than p / 4
-terms, so that a chance zero fails fewer than one replay in four, and
-fewer than 16,384, so that a large prime keeps traces small; the store
-keeps the 16 newest.  Runs over Q never log.  Which
-route ran, learned, replayed or fallen back, depends on what ran before
-in the process, so no report shows it.
+engine is left untouched, the trace is dropped and the loop runs.  Only
+a run whose key has no trace logs, so a degenerate run never replaces
+the trace of the ordinary ones.  A trace is stored only when the run
+pops fewer than p / 4 terms, so that a chance zero fails fewer than one
+replay in four, and fewer than 16,384, so that a large prime keeps
+traces small; the store keeps the 16 newest.  Runs over Q never log.
+Which route ran, learned, replayed or fallen back, depends on what ran
+before in the process, so no report shows it.
 
 Reduced bases are monic, pairwise irreducible and sorted with the largest
 leading term first, which makes them canonical for the ring's order.
@@ -550,19 +551,21 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
             start.append(d)
     if not start:
         return eng
-    # a run over F_p from an empty engine has a key; its first run logs
-    # every reduction, and later runs replay the trace when it fits the
-    # budget and every zero test comes out the same
-    journal = None  # (source, log, result) per reduction of a keyed run
+    # a run over F_p from an empty engine has a key; a run of a key with no
+    # trace logs every reduction, and a later run replays the trace when it
+    # fits the budget, dropping it when a zero test comes out different
+    journal = None  # (source, log, result) per reduction of a learning run
     if eng.modp and not eng.blt:
         run_key = (eng.p, eng.n, eng.ring.order,
                    tuple(tuple(d) for d in start))
         trace = _TRACES.get(run_key)
-        if (trace is not None and eng.steps + trace.steps <= eng.budget
-                and _replay(eng, trace, start)):
-            return eng
-        journal = []
-        room = min(eng.p, _TRACE_POPS)  # 4 * pops must stay below it
+        if trace is None:
+            journal = []
+            room = min(eng.p, _TRACE_POPS)  # 4 * pops must stay below it
+        elif eng.steps + trace.steps <= eng.budget:
+            if _replay(eng, trace, start):
+                return eng
+            del _TRACES[run_key]
 
     keyd = eng.keyd
     divides = eng.divides
@@ -574,10 +577,7 @@ def _buchberger(eng: _Engine, gens: list[Polynomial]) -> _Engine:
     for pos, f in enumerate(start):
         lower = len(eng.blt)  # members 0 .. lower - 1 have earlier positions
         # the minimal leading terms of those members, for the F5 criterion
-        earlier: list[int] = []
-        for lt in sorted(eng.blt, key=keyd, reverse=True):
-            if not any(divides(e, lt) for e in earlier):
-                earlier.append(lt)
+        earlier = [eng.blt[k] for k in _minimal(eng)]
         syz: list[int] = []   # signature monomials of zero reductions here
         queue: dict = {}      # signature key -> signature monomial
         heap: list[int] = []  # the keys of queue
@@ -721,7 +721,6 @@ def _learn(eng: _Engine, key, start: list, journal: list):
                 (emitted if what == _EMITTED else cancelled).append(slot[e])
         reductions.append((source, [0] * (len(slot) - len(mons)), reduced,
                            emitted, cancelled, bool(red and red[0])))
-    _TRACES.pop(key, None)
     _TRACES[key] = _Trace(
         reductions, list(blt), list(eng.blk), tails,
         [[k for _, _, k in tail] for tail in eng.btail], list(eng.bsig),
@@ -773,27 +772,30 @@ def _replay(eng: _Engine, trace: _Trace, start: list) -> bool:
     return True
 
 
+def _minimal(eng: _Engine) -> list[int]:
+    """The indices of the members whose leading terms no other member's
+    divides, by ascending leading term; of equal leading terms the newest
+    member is kept."""
+    kept: list[int] = []
+    for _, idx in sorted(((eng.keyd(lt), idx) for idx, lt
+                          in enumerate(eng.blt)), reverse=True):
+        if not any(eng.divides(eng.blt[k], eng.blt[idx]) for k in kept):
+            kept.append(idx)
+    return kept
+
+
 def _finalize(eng: _Engine) -> _Engine:
     """A new engine that holds the reduced basis of the ideal that the
     engine's members, a Groebner basis, generate: the minimal members,
     tail-reduced and normalized, smallest leading term first.  It charges
     the same budget and shares the key cache."""
-    order = [(eng.keyd(lt), idx) for idx, lt in enumerate(eng.blt)]
-    order.sort(reverse=True)  # ascending leading terms
-    kept: list[int] = []
-    for _, idx in order:
-        lt = eng.blt[idx]
-        if any(eng.divides(eng.blt[k], lt) for k in kept):
-            continue
-        kept.append(idx)
-
     # interreduce in one engine that holds the kept members in ascending
     # order, reducing each tail and writing it back.  A tail term lies below
     # its own leading term, so only the other members can divide it: the
     # reducers are those of reducing each member against all the others.
     red = _Engine(eng.ring, eng.budget, eng.stage, eng.steps)
     red._keyd = eng._keyd
-    for idx in kept:
+    for idx in _minimal(eng):
         red.add_basis_poly({eng.blt[idx]: eng.blc[idx],
                             **{e: c for e, c, _ in eng.btail[idx]}})
     for k, lt in enumerate(red.blt):
@@ -932,15 +934,15 @@ def saturate(gens: Iterable[Polynomial], sat: Iterable[Polynomial],
              budget: int | None = None) -> GroebnerBasis:
     """Saturation (I : J^infinity), J given by generators.
 
-    Computed per generator with saturate_eliminate and intersected across
-    generators.
+    Computed per nonzero generator with saturate_eliminate and intersected
+    across generators.  With no nonzero generator J is the zero ideal, and
+    I : 0^infinity is the unit ideal: f * 0^N = 0 lies in I for every f.
     """
-    gens = list(gens)
-    sat = [s for s in sat if not s.is_zero()]
+    gens, sat = list(gens), list(sat)
     ring = _resolve_ring(gens + sat, ring)
+    sat = [s for s in sat if not s.is_zero()]
     if not sat:
-        return _basis(_finalize(_buchberger(_Engine(ring, budget, "saturation"),
-                                            gens)))
+        return GroebnerBasis(ring, (ring.one(),))
     partial: GroebnerBasis | None = None
     for g in sat:
         one = _realign(saturate_eliminate(gens, g, (), ring, budget=budget),

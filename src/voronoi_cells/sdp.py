@@ -7,13 +7,13 @@ the linear matrix inequality sum lam_i A_i <= 2I and stationarity pins
 lam to an affine subspace, so the certificate is an LMI feasibility
 question.  Varieties of higher degree are first lifted to a Veronese
 embedding where every defining equation becomes a quadric; rising lift
-levels certify growing inner approximations of the cell.  The LMI engine
-minimizes the largest eigenvalue over the multipliers with damped Newton
-steps on a log-det barrier, sized for the dense desk-scale matrices
-produced here.  A member carries multipliers whose matrix inequality
-holds to within tol; a non-member found by the Newton solve carries a
-dual matrix that bounds the largest eigenvalue away from zero for every
-choice of multipliers, so it is a proof.
+levels certify nested, not necessarily larger, inner approximations of
+the cell.  The LMI engine minimizes the largest eigenvalue over the
+multipliers with damped Newton steps on a log-det barrier, sized for the
+dense desk-scale matrices produced here.  A member carries multipliers
+whose matrix inequality holds to within tol; a non-member found by the
+Newton solve carries a dual matrix that bounds the largest eigenvalue
+away from zero for every choice of multipliers, so it is a proof.
 
 Values and gradients come from the lift's stacked ``constant`` (q,),
 ``linear`` (q, N) and ``hessians`` (q, N, N) arrays, and the LMI engine's
@@ -584,7 +584,7 @@ def _base_point(polys: tuple, d: int, y: bytes, tol: float) -> tuple:
     if worst > max(tol, 1e-9):
         raise PointNotOnVarietyError(
             f"base point misses the variety by {worst:.3g}")
-    jac = (lift.hessians @ z + lift.linear).T
+    jac = lift.jacobian_at(np.frombuffer(y))
     eq_matrix = np.vstack([0.5 * jac[:n, :], jac[n:, :]])
     eq_matrix.setflags(write=False)
     return lift, eq_matrix

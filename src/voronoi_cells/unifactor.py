@@ -128,7 +128,7 @@ def exact_rational_roots(coeffs: Sequence[Fraction]
 
 
 def squarefree_decomposition(coeffs: Sequence[Fraction]):
-    """Yield (squarefree factor, multiplicity) with multiplicities ascending;
+    """A list of (squarefree factor, multiplicity), multiplicities ascending;
     each factor is primitive with a positive leading coefficient."""
     f = dense_trim(coeffs)
     if len(f) <= 1:

@@ -171,6 +171,20 @@ def _rref(rows: list[list], field) -> tuple[list[list], list[int]]:
     return rows[:r], pivots
 
 
+def _kernel(rows: list[list], pivots: list[int], n: int, field) -> list[list]:
+    """A kernel basis of a matrix in reduced echelon form: for each free
+    column j, 1 at j and minus entry j of row r at the pivot column of r."""
+    out = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        w = [field.one if i == j else field.zero for i in range(n)]
+        for r, col in enumerate(pivots):
+            w[col] = field.neg(rows[r][j])
+        out.append(w)
+    return out
+
+
 def normal_space_at(spec: IdealSpec, point: Sequence, *,
                     allow_singular: bool = False) -> NormalSpace:
     """Solve the equations of the normal space of X at a point of X.
@@ -208,39 +222,18 @@ def normal_space_at(spec: IdealSpec, point: Sequence, *,
     u_ring = PolyRing(u_names, field=f, order=GREVLEX)
 
     # the normal space is y + rowspace(J), so its equations are the kernel
-    # of J, read off the echelon form; at a rank drop, or at c = n, every
-    # ambient direction is normal and there are none
-    kernel = []
-    if rank == c:
-        for j in range(n):
-            if j in jac_pivots:
-                continue
-            w = [f.one if i == j else f.zero for i in range(n)]
-            for r, col in enumerate(jac_pivots):
-                w[col] = f.neg(jac_rref[r][j])
-            kernel.append(w)
+    # of J; at a rank drop, or at c = n, every ambient direction is normal
+    # and there are none
+    kernel = _kernel(jac_rref, jac_pivots, n, f) if rank == c else []
     rref_rows, pivots = _rref(kernel, f)
     frees = tuple(i for i in range(n) if i not in pivots)
 
-    disp = [u_ring.variable(i) - u_ring.constant(y[i]) for i in range(n)]
-    forms = []
-    for row in rref_rows:
-        poly = u_ring.zero()
-        for i, coeff in enumerate(row):
-            if coeff != f.zero:
-                poly = poly + u_ring.constant(coeff) * disp[i]
-        forms.append(poly)
-
-    param = []
-    for i in range(n):
-        if i in pivots:
-            r = pivots.index(i)
-            row = tuple(f.neg(rref_rows[r][j]) for j in frees)
-        else:
-            j = frees.index(i)
-            row = tuple(f.one if jj == j else f.zero for jj in range(len(frees)))
-        param.append(row)
-    return NormalSpace(u_ring, y, tuple(forms), frees, tuple(param), rank, c)
+    # row . (u - y) = 0 for each row
+    forms = tuple(u_ring.linear(row, -sum(a * v for a, v in zip(row, y)))
+                  for row in rref_rows)
+    # the columns of P span the kernel of the equations, one per free column
+    param = tuple(zip(*_kernel(rref_rows, pivots, n, f)))
+    return NormalSpace(u_ring, y, forms, frees, param, rank, c)
 
 
 def _critical_equations(spec: IdealSpec, ns: NormalSpace, ring: PolyRing,
@@ -302,16 +295,8 @@ def parametric_critical_system(spec: IdealSpec, ns: NormalSpace, *,
     k = ns.dimension
     s_names = _fresh_names(k, ("s", "ss", "q"), ring.variables)
     sring = PolyRing(ring.variables + s_names, field=f, order=GREVLEX)
-    ss = [sring.variable(n + j) for j in range(k)]
-
-    u_images = []
-    for i in range(n):
-        expr = sring.constant(y[i])
-        for j in range(k):
-            coeff = ns.parameter_matrix[i][j]
-            if coeff != f.zero:
-                expr = expr + sring.constant(coeff) * ss[j]
-        u_images.append(expr)
+    u_images = [sring.linear((0,) * n + row, y_i)
+                for row, y_i in zip(ns.parameter_matrix, y)]
 
     gens = _critical_equations(spec, ns, sring, u_images)
     for extra in slices:
@@ -512,27 +497,16 @@ def boundary_on_normal_line(report: VoronoiReport) -> NormalLineSection:
 
     brackets = tuple(RootBracket(lo, hi) for lo, hi in
                      isolate_real_roots(restricted, NORMAL_LINE_PRECISION))
-    at_zero = restricted[0] == 0
-
-    lam_lo = None
-    lam_hi = None
-    for br in brackets:
-        if br.upper <= 0 and not (br.exact and br.upper == 0):
-            if lam_lo is None or br.upper > lam_lo.upper:
-                lam_lo = br
-        if br.lower >= 0 and not (br.exact and br.lower == 0):
-            if lam_hi is None or br.lower < lam_hi.lower:
-                lam_hi = br
-    if at_zero:
-        zero = RootBracket(Fraction(0), Fraction(0))
-        lam_lo = lam_hi = zero
+    # the brackets ascend and none has 0 inside, so the nearest roots are
+    # the last bracket that ends at or below 0 and the first that starts at
+    # or above it: both are the exact (0, 0) when 0 is a root
+    ends_below = sum(br.upper <= 0 for br in brackets)
+    starts_below = sum(br.lower < 0 for br in brackets)
+    lam_lo = brackets[ends_below - 1] if ends_below else None
+    lam_hi = brackets[starts_below] if starts_below < len(brackets) else None
 
     norm = float(sum(Fraction(v) * Fraction(v) for v in grad)) ** 0.5
-    if at_zero:
-        reach = 0.0
-    elif brackets:
-        reach = min(abs(br.midpoint()) for br in brackets) * norm
-    else:
-        reach = float("inf")
+    nearest = [abs(br.midpoint()) for br in (lam_lo, lam_hi) if br]
+    reach = min(nearest) * norm if nearest else float("inf")
     return NormalLineSection(grad, tuple(restricted), brackets,
                              lam_lo, lam_hi, reach)

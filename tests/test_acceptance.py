@@ -135,7 +135,7 @@ def test_criterion_2_cuspidal_cubic():
                       (Fraction(-26), Fraction(18))}
 
     quadratic = parse_polynomial("27*u2^2 - 486*u2 + 2197", ring)
-    assert count_real_roots(dense_from_poly(quadratic, var=1)) == 0
+    assert count_real_roots(dense_from_poly(quadratic)) == 0
 
 
 @criterion(3, "cusp at the origin: boundary quartic up to a rational"

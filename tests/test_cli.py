@@ -491,6 +491,14 @@ class TestSdpMemberCommand:
                                  "--u", '["0", "3/5", "0"]', "--level", "1")
         assert code == 3
 
+    def test_newton_limit_is_inconclusive(self, capsys, cardioid_file):
+        code, body, _ = run_json(capsys, "sdp-member", cardioid_file,
+                                 "--point", '["0", "1"]',
+                                 "--u", '["-1/10", "9/10"]', "--level", "2",
+                                 "--max-iterations", "1")
+        assert code == 4
+        assert (body["status"], body["iterations"]) == ("inconclusive", 1)
+
     def test_point_off_variety(self, capsys, cardioid_file):
         code, _, err = run(capsys, "sdp-member", cardioid_file,
                            "--point", '["1", "1"]', "--u", '["1", "1"]',

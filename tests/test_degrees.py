@@ -382,6 +382,20 @@ class TestSignatureTraces:
             assert [degree for _, _, degree in exp.replicas] == [15, 16, 16]
             assert False in replays
 
+    def test_a_fallback_drops_the_trace_and_learns_nothing(self, replays):
+        # replica 0 of seed 162566 fails its replay of seed 0's trace over
+        # F_32003, which drops the trace; the fallback logs nothing, so
+        # replica 2 learns the trace of an ordinary quartic, which every
+        # replica of seed 0 replays again
+        _store("warm", lambda: hypersurface_degree_experiment(2, 4, seed=0))
+        replays.clear()
+        exp = hypersurface_degree_experiment(2, 4, seed=162566)
+        assert [degree for _, _, degree in exp.replicas] == [15, 16, 16]
+        assert replays == [False, True]
+        replays.clear()
+        hypersurface_degree_experiment(2, 4, seed=0)
+        assert replays == [True, True, True]
+
     def test_runs_of_many_pops_store_no_trace(self):
         # replica 0 of Table 1 (3, 4) pops more than p / 4 terms over
         # F_32003, and more than 16,384 over F_(2^31 - 1)

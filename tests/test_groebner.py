@@ -252,6 +252,51 @@ class TestIdealOperations:
         sat = saturate(gens, [parse_polynomial("x", ring), parse_polynomial("y", ring)])
         assert [str(p) for p in sat.polys] == ["z"]
 
+    def test_saturation_by_the_zero_ideal_is_the_unit_ideal(self):
+        # f * 0^N = 0 lies in I for every f, so I : 0^inf is the whole
+        # ring; a zero generator beside a nonzero one changes nothing
+        ring, gens = make(("x", "y"), "x^2")
+        assert saturate(gens, []).polys == (ring.one(),)
+        assert saturate(gens, [ring.zero()]).polys == (ring.one(),)
+        ring, gens = make(("x", "y"), "x*y")
+        sat = saturate(gens, [ring.zero(), ring.variable("x")])
+        assert [str(p) for p in sat.polys] == ["y"]
+
+    @pytest.mark.parametrize("order", [LEX, BlockElim(1)],
+                             ids=["lex", "block"])
+    def test_answers_are_rebased_in_the_ring_order(self, order):
+        # both operations work in grevlex; in another order the answer is
+        # the reduced basis of the grevlex one for that order
+        names = ("x", "y", "z")
+        texts = ("x^2 + y^2 + z^2 - 1", "x*y*z - 1/5")
+        grevlex, gens = make(names, *texts)
+        ring, moved = make(names, *texts, order=order)
+
+        def rebased(gb):
+            return groebner_basis([p.map_ring(ring, [0, 1, 2]) for p in gb],
+                                  ring).polys
+
+        sat = [parse_polynomial("x - y", r) for r in (grevlex, ring)]
+        got = saturate(moved, sat[1:])
+        assert got.ring == ring
+        assert got.polys == rebased(saturate(gens, sat[:1]))
+        a, b = (("x - 1", "y - 2", "z"), ("x - 3", "y + 1", "z - 1"))
+        got = intersect(make(names, *a, order=order)[1],
+                        make(names, *b, order=order)[1])
+        assert got.ring == ring
+        assert got.polys == rebased(intersect(make(names, *a)[1],
+                                              make(names, *b)[1]))
+
+    def test_a_variable_named_like_the_fresh_one_is_kept_apart(self):
+        # saturation and intersection adjoin a fresh variable named _t,
+        # renamed when the ring already has one
+        answers = []
+        for names in (("_t", "y"), ("a", "y")):
+            ring, (f, t, y) = make(names, f"{names[0]}^2*y", names[0], "y")
+            answers.append([[p.terms for p in gb] for gb in (
+                saturate([f], [t]), intersect([t], [y]))])
+        assert answers[0] == answers[1] == [[{(0, 1): 1}], [{(1, 1): 1}]]
+
     def test_each_operation_reports_its_own_stage(self):
         # sphere and x*y*z = 1/5 saturated by x - y and z - 2x: each
         # saturation takes at most 14 steps and the intersection of the two

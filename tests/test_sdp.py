@@ -550,6 +550,18 @@ class TestLevelD:
             assert res.status == "non-member"
             assert res.iterations <= 25, (t, res.iterations)
 
+    def test_newton_steps_stop_at_max_iterations(self):
+        # the rejection at t = -0.1 takes two Newton steps; after one the
+        # solve stops undecided
+        u = (-0.1, 0.9)
+        res = leveld_membership([CARDIOID], CARDIOID_POINT, u, 2,
+                                max_iterations=1)
+        assert (res.status, res.witness, res.iterations) == (
+            "inconclusive", None, 1)
+        res = leveld_membership([CARDIOID], CARDIOID_POINT, u, 2,
+                                max_iterations=2)
+        assert (res.status, res.iterations) == ("non-member", 2)
+
     @BAD_SETTINGS
     def test_rejects_bad_settings(self, setting):
         with pytest.raises(ValueError):

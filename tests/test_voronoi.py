@@ -543,7 +543,7 @@ def _restricted_by_gcd(report):
     for p in report.boundary.polys:
         moved = p.compose(lring, images)
         if not moved.is_zero():
-            dense = primitive_integer_form(dense_from_poly(moved, var=0))
+            dense = primitive_integer_form(dense_from_poly(moved))
             out = dense_gcd(out, dense) if out else dense
     return tuple(Fraction(c) / out[-1] for c in out)
 
