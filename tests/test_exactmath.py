@@ -200,6 +200,16 @@ class TestPolynomialArithmetic:
         f = parse_polynomial("x^2*y - 3*x + 1/2", R)
         assert f.evaluate([Fraction(2), Fraction(3)]) == 12 - 6 + Fraction(1, 2)
 
+    def test_linear_forms_coerce_into_the_field(self):
+        # mod 7, 1/2 is 4, -1 is 6 and 10 is 3
+        for field, text in ((QQ, "1/2*x - z + 10"),
+                            (PrimeField(7), "4*x + 6*z + 3")):
+            R = ring("x", "y", "z", field=field)
+            f = R.linear([Fraction(1, 2), 0, -1], 10)
+            assert f == parse_polynomial(text, R)
+        with pytest.raises(ValueError):
+            R.linear([1, 2])
+
     def test_compose_substitution(self):
         R = ring("x", "y")
         S = ring("t")
